@@ -8,6 +8,7 @@
 // consistent global inference improves every strategy, and the generic
 // iterative solvers match the specialized one on its home turf.
 #include "bench_util.h"
+#include "matrix/rewrite.h"
 
 using namespace ektelo;
 using namespace ektelo::bench;
@@ -22,8 +23,7 @@ int main(int argc, char** argv) {
       "(n=%zu, eps=%.2g; mean scaled error over datasets)\n\n", n, eps);
   std::printf("%-24s %12s %12s\n", "inference", "err(ranges)", "time(s)");
 
-  Hierarchy hier = BuildHierarchy(n, 2);
-  auto strategy = HierarchyOp(hier);
+  auto strategy = HierarchyOp(BuildHierarchy(n, 2));
   const double sens = strategy->SensitivityL1();
 
   struct Acc {
@@ -56,10 +56,12 @@ int main(int argc, char** argv) {
           break;
         }
         case 1:
-          xhat = TreeBasedLeastSquares(hier, *y);
+          xhat = *LaminarLeastSquares(mset);
           break;
         case 2:
-          xhat = LeastSquaresInference(mset);
+          // LSMR itself: LeastSquaresInference would dispatch this
+          // laminar stack to the tree solver of case 1.
+          xhat = Lsmr(*MaybeRewrite(mset.WeightedOp()), mset.WeightedY()).x;
           break;
         case 3:
           xhat = CgLeastSquaresInference(mset);

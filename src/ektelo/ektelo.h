@@ -65,6 +65,7 @@
 #include "ops/partition_select.h"
 #include "ops/privbayes.h"
 #include "ops/selection.h"
+#include "ops/tree_ls.h"
 #include "plans/case_studies.h"
 #include "plans/grid_plans.h"
 #include "plans/pipeline.h"

@@ -141,6 +141,7 @@ enum CacheKind : int {
   kKindGramOp = 7,
   kKindNormSq = 8,
   kKindCanonTree = 9,
+  kKindStructure = 10,  // memory-only (see OperatorCache::Structure)
 };
 
 // ---- disk-tier payload envelope: every persisted artifact embeds the
@@ -199,6 +200,7 @@ struct OperatorCache::Impl {
     std::shared_ptr<const CsrMatrix> sparse;
     std::shared_ptr<const DenseMatrix> dense;
     LinOpPtr wrapped;  // SparseWrapped / DenseWrapped leaf
+    std::shared_ptr<const void> structure;  // kKindStructure artifact
     double value = 0.0;
     std::size_t bytes = 0;
   };
@@ -397,7 +399,8 @@ struct OperatorCache::Impl {
       misses->Inc();
     }
     std::shared_ptr<store::DiskArtifactStore> d = DiskSnapshot();
-    const bool persistable = d != nullptr && StructuralHashPersistable(*key);
+    const bool persistable = d != nullptr && kind != kKindStructure &&
+                             StructuralHashPersistable(*key);
     if (persistable) {
       std::vector<uint8_t> payload;
       std::optional<V> decoded;
@@ -948,6 +951,25 @@ double OperatorCache::GramNormSq(const LinOp& gram, std::size_t iters,
       },
       [](const LinOp& k, const std::vector<uint8_t>& b) {
         return DecodeScalarArtifact(k, b);
+      });
+}
+
+std::shared_ptr<const void> OperatorCache::Structure(
+    const LinOpPtr& op,
+    const std::function<std::shared_ptr<const void>(std::size_t*)>& make) {
+  using V = std::shared_ptr<const void>;
+  std::size_t bytes = 0;  // reported by make, read by fill on a miss
+  return impl_->Cached<V>(
+      op, op->StructuralHash(), kKindStructure,
+      [](const Impl::Entry& e) { return e.structure; },
+      [&] { return make(&bytes); },
+      [&bytes](Impl::Entry& e, const V& v) {
+        e.structure = v;
+        e.bytes = sizeof(Impl::Entry) + bytes;
+      },
+      [](const LinOp&, const V&, store::ByteWriter*) { return false; },
+      [](const LinOp&, const std::vector<uint8_t>&) -> std::optional<V> {
+        return std::nullopt;
       });
 }
 

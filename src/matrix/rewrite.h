@@ -236,6 +236,15 @@ class OperatorCache {
   double GramNormSq(const LinOp& gram, std::size_t iters,
                     const std::function<double()>& compute);
 
+  /// Memory-only memo of a structural artifact defined above the matrix
+  /// layer (the laminar forest of ops/tree_ls.cc), keyed by op's
+  /// structural hash.  `make` runs on a miss and reports the artifact's
+  /// retained bytes through its argument; a null artifact (op has no
+  /// such structure) is cached too.  Never persisted to the disk tier.
+  std::shared_ptr<const void> Structure(
+      const LinOpPtr& op,
+      const std::function<std::shared_ptr<const void>(std::size_t*)>& make);
+
   /// The memoized Gram for `a` via GramOperator, or nullptr when caching
   /// does not apply — rewriting disabled, or `a` not shared-owned (a
   /// Gram derived from a stack-allocated operator aliases it non-

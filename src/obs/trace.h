@@ -160,6 +160,12 @@ class Span {
     armed_ = 0;
     trace_ = nullptr;
   }
+  /// Abandons the span: nothing is observed or recorded (for work that
+  /// turned out not to be the operation the span names).
+  void Discard() {
+    armed_ = 0;
+    trace_ = nullptr;
+  }
 
  private:
   uint32_t armed_ = 0;          // flags snapshot; 0 = disarmed/closed

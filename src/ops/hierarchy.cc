@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "matrix/combinators.h"
-#include "matrix/implicit_ops.h"
 #include "matrix/range_ops.h"
 #include "util/check.h"
 
@@ -14,12 +12,6 @@ std::size_t Hierarchy::TotalNodes() const {
   std::size_t total = 0;
   for (const auto& lvl : levels) total += lvl.size();
   return total;
-}
-
-std::size_t Hierarchy::RowOf(std::size_t level, std::size_t i) const {
-  std::size_t row = 0;
-  for (std::size_t l = 0; l < level; ++l) row += levels[l].size();
-  return row + i;
 }
 
 Hierarchy BuildHierarchy(std::size_t n, std::size_t branch) {
@@ -84,85 +76,6 @@ std::size_t HbBranchingFactor(std::size_t n) {
     }
   }
   return best_b;
-}
-
-namespace {
-
-/// Bottom-up pass: z[l][i] is the variance-optimal combination of node
-/// (l,i)'s own measurement with the sum of its children's estimates;
-/// var[l][i] is its variance (in units of the per-query noise variance).
-struct ZState {
-  std::vector<std::vector<double>> z;
-  std::vector<std::vector<double>> var;
-};
-
-void BottomUp(const Hierarchy& h, const Vec& y, std::size_t level,
-              std::size_t i, ZState* st) {
-  const bool has_children =
-      level + 1 < h.levels.size() &&
-      h.child_start[level][i + 1] > h.child_start[level][i];
-  const double y_v = y[h.RowOf(level, i)];
-  if (!has_children) {
-    st->z[level][i] = y_v;
-    st->var[level][i] = 1.0;
-    return;
-  }
-  double sum_z = 0.0, sum_var = 0.0;
-  for (std::size_t c = h.child_start[level][i];
-       c < h.child_start[level][i + 1]; ++c) {
-    BottomUp(h, y, level + 1, c, st);
-    sum_z += st->z[level + 1][c];
-    sum_var += st->var[level + 1][c];
-  }
-  // Combine two independent estimates of the node total: own measurement
-  // (variance 1) and the children sum (variance sum_var).
-  const double w_own = sum_var / (1.0 + sum_var);
-  st->z[level][i] = w_own * y_v + (1.0 - w_own) * sum_z;
-  st->var[level][i] = sum_var / (1.0 + sum_var);
-}
-
-void TopDown(const Hierarchy& h, std::size_t level, std::size_t i,
-             double value, const ZState& st, Vec* x) {
-  const bool has_children =
-      level + 1 < h.levels.size() &&
-      h.child_start[level][i + 1] > h.child_start[level][i];
-  if (!has_children) {
-    const auto& node = h.levels[level][i];
-    EK_CHECK_EQ(node.hi - node.lo, 1u);
-    (*x)[node.lo] = value;
-    return;
-  }
-  double sum_z = 0.0, sum_var = 0.0;
-  for (std::size_t c = h.child_start[level][i];
-       c < h.child_start[level][i + 1]; ++c) {
-    sum_z += st.z[level + 1][c];
-    sum_var += st.var[level + 1][c];
-  }
-  const double surplus = value - sum_z;
-  for (std::size_t c = h.child_start[level][i];
-       c < h.child_start[level][i + 1]; ++c) {
-    // Distribute the consistency surplus proportionally to variance — the
-    // exact least-squares adjustment for tree-structured measurements.
-    const double share = st.var[level + 1][c] / sum_var;
-    TopDown(h, level + 1, c, st.z[level + 1][c] + surplus * share, st, x);
-  }
-}
-
-}  // namespace
-
-Vec TreeBasedLeastSquares(const Hierarchy& h, const Vec& y) {
-  EK_CHECK_EQ(y.size(), h.TotalNodes());
-  ZState st;
-  st.z.resize(h.levels.size());
-  st.var.resize(h.levels.size());
-  for (std::size_t l = 0; l < h.levels.size(); ++l) {
-    st.z[l].assign(h.levels[l].size(), 0.0);
-    st.var[l].assign(h.levels[l].size(), 0.0);
-  }
-  BottomUp(h, y, 0, 0, &st);
-  Vec x(h.n, 0.0);
-  TopDown(h, 0, 0, st.z[0][0], st, &x);
-  return x;
 }
 
 }  // namespace ektelo

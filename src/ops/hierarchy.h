@@ -1,6 +1,5 @@
-// Hierarchical query strategies (H2, HB) and the specialized tree-based
-// least-squares inference of Hay et al. (PVLDB 2010), which Fig. 5 compares
-// against the general-purpose iterative inference.
+// Hierarchical query strategies (H2, HB).  Their exact least-squares
+// inference is the laminar tree solver of ops/tree_ls.h.
 //
 // A hierarchy over n cells is a complete b-ary tree of interval-sum
 // queries: the root covers [0, n), each node's children split its interval
@@ -33,9 +32,6 @@ struct Hierarchy {
   std::vector<std::vector<std::size_t>> child_start;
 
   std::size_t TotalNodes() const;
-  /// Row index of node (level, i) in the stacked strategy matrix, which
-  /// lists levels top-down, nodes left-to-right.
-  std::size_t RowOf(std::size_t level, std::size_t i) const;
 };
 
 /// Build the complete b-ary hierarchy over n cells (intervals of uneven
@@ -48,12 +44,6 @@ LinOpPtr HierarchyOp(const Hierarchy& h);
 /// HB's optimized branching factor: argmin_b (b - 1) * height(b)^3, the
 /// variance proxy from Qardaji et al. (PVLDB 2013).
 std::size_t HbBranchingFactor(std::size_t n);
-
-/// Hay et al.'s two-pass (bottom-up weighted average, top-down consistency)
-/// least-squares solver, exact for complete hierarchies with uniform noise.
-/// y is the noisy answer vector in HierarchyOp row order; returns the leaf
-/// estimate (length n).
-Vec TreeBasedLeastSquares(const Hierarchy& h, const Vec& y);
 
 }  // namespace ektelo
 

@@ -3,10 +3,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/dense.h"
 #include "matrix/implicit_ops.h"
 #include "matrix/rewrite.h"
+#include "ops/tree_ls.h"
 #include "util/check.h"
 
 namespace ektelo {
@@ -14,6 +16,11 @@ namespace ektelo {
 Vec LeastSquaresInference(const MeasurementSet& mset,
                           const LsmrOptions& opts) {
   EK_CHECK(!mset.empty());
+  // Laminar stacks (hierarchies, grids, partition-reduced strategies)
+  // have an exact two-pass solution; it is the min-norm point LSMR from
+  // x0 = 0 converges to, reached without iterating.
+  if (std::optional<Vec> exact = LaminarLeastSquares(mset))
+    return *std::move(exact);
   // Canonicalize the weighted stack before the iterative solve: merged
   // measurement unions and hoisted weights cut the per-iteration apply
   // cost without changing the represented matrix.

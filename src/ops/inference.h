@@ -2,8 +2,16 @@
 // xhat of the data vector from all noisy measurements taken by a plan.
 // All of these are Public operators — they never touch private data.
 //
-//  * LeastSquaresInference       — LS via LSMR on the precision-weighted
-//                                  implicit stack (the paper's workhorse).
+//  * LeastSquaresInference       — LS on the precision-weighted implicit
+//                                  stack (the paper's workhorse).  It
+//                                  dispatches by structure: a laminar
+//                                  stack (hierarchies, grids, partition-
+//                                  reduced strategies, Kron(I, X, I)
+//                                  stripes) gets the exact two-pass tree
+//                                  solve of ops/tree_ls.h; anything else
+//                                  (signed rows, overlapping ranges,
+//                                  wavelets) runs LSMR.  Both return the
+//                                  minimum-norm solution.
 //  * NnlsInference               — LS with x >= 0 (Definition 5.2).
 //  * MultWeightsInference        — the multiplicative-weights update used
 //                                  by MWEM (maximum-entropy flavored).
@@ -23,6 +31,9 @@ namespace ektelo {
 
 /// Ordinary least squares over all measurements (Definition 5.1),
 /// precision-weighted so unequal noise scales are handled correctly.
+/// Exact for laminar stacks (LaminarLeastSquares); otherwise LSMR with
+/// `opts`.  Callers that must time or test LSMR itself call Lsmr on
+/// MaybeRewrite(mset.WeightedOp()) directly.
 Vec LeastSquaresInference(const MeasurementSet& mset,
                           const LsmrOptions& opts = {});
 

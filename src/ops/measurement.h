@@ -48,6 +48,11 @@ class MeasurementSet {
   LinOpPtr WeightedOp() const;
   Vec WeightedY() const;
 
+  /// The precision weight WeightedOp applies to measurement i's rows.
+  double Weight(std::size_t i) const {
+    return WeightFor(items_[i].noise_scale);
+  }
+
  private:
   double WeightFor(double noise_scale) const;
   std::vector<Measurement> items_;

@@ -6,6 +6,12 @@
 //   Measure      — Vector Laplace of the strategy (LM)
 //   Infer        — global inference over all measurements (LS / clamps)
 //
+// Infer(kLeastSquares) runs LeastSquaresInference once over the composed
+// stack, which picks the solver from the stack's structure: the exact
+// laminar tree solve (ops/tree_ls.h) for hierarchies, grids and
+// partition-reduced strategies — Product(X, P) with P the reduction —
+// and LSMR for everything else.
+//
 // threaded through a shared StageContext.  The context tracks the current
 // protected handle (partition stages repoint it at the reduced source),
 // the current BudgetScope (partition stages split it), the workload as

@@ -13,6 +13,7 @@
 #include "ops/measurement.h"
 #include "ops/partition_select.h"
 #include "ops/selection.h"
+#include "ops/tree_ls.h"
 #include "util/rng.h"
 #include "workload/workloads.h"
 
@@ -80,27 +81,31 @@ TEST(HierarchyTest, HbBranchingReasonable) {
 }
 
 TEST(TreeLsTest, MatchesGenericLeastSquaresOnCompleteTree) {
-  // The specialized two-pass solver must equal LSMR on the same system.
+  // The laminar two-pass solver must equal LSMR on the same system.
   Rng rng(1);
   for (std::size_t n : {4u, 8u, 16u}) {
-    Hierarchy h = BuildHierarchy(n, 2);
-    auto op = HierarchyOp(h);
+    auto op = HierarchyOp(BuildHierarchy(n, 2));
     Vec x_true = RandomCounts(n, &rng);
     Vec y = op->Apply(x_true);
     for (auto& v : y) v += rng.Laplace(1.0);  // uniform noise
-    Vec x_tree = TreeBasedLeastSquares(h, y);
+    MeasurementSet mset;
+    mset.Add(op, y, 1.0);
+    std::optional<Vec> x_tree = LaminarLeastSquares(mset);
+    ASSERT_TRUE(x_tree.has_value());
     Vec x_lsmr = Lsmr(*op, y).x;
     for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(x_tree[i], x_lsmr[i], 1e-6) << "n=" << n << " i=" << i;
+      EXPECT_NEAR((*x_tree)[i], x_lsmr[i], 1e-6) << "n=" << n << " i=" << i;
   }
 }
 
 TEST(TreeLsTest, ExactOnNoiselessMeasurements) {
-  Hierarchy h = BuildHierarchy(8, 2);
-  auto op = HierarchyOp(h);
+  auto op = HierarchyOp(BuildHierarchy(8, 2));
   Vec x_true = {5, 0, 3, 2, 8, 1, 1, 4};
-  Vec x = TreeBasedLeastSquares(h, op->Apply(x_true));
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
+  MeasurementSet mset;
+  mset.Add(op, op->Apply(x_true), 1.0);
+  std::optional<Vec> x = LaminarLeastSquares(mset);
+  ASSERT_TRUE(x.has_value());
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR((*x)[i], x_true[i], 1e-9);
 }
 
 // ------------------------------------------------------------- selection

@@ -1,7 +1,7 @@
 // Structural-equivalence tests for the striped plans' documented
 // optimizations: solving per-stripe least squares equals the global
-// stacked solve (no measurement crosses stripes), and the exact tree
-// solver remains correct on non-binary branching factors.
+// stacked solve (no measurement crosses stripes), and the exact laminar
+// tree solver remains correct on non-binary branching factors.
 #include <cmath>
 
 #include "gtest/gtest.h"
@@ -12,6 +12,7 @@
 #include "ops/inference.h"
 #include "ops/partition_select.h"
 #include "ops/selection.h"
+#include "ops/tree_ls.h"
 #include "util/rng.h"
 
 namespace ektelo {
@@ -74,16 +75,18 @@ TEST_P(TreeBranchingTest, TreeLsMatchesLsmrForAnyBranching) {
   const std::size_t b = GetParam();
   Rng rng(10 + b);
   for (std::size_t n : {9u, 16u, 27u, 30u}) {
-    Hierarchy h = BuildHierarchy(n, b);
-    auto op = HierarchyOp(h);
+    auto op = HierarchyOp(BuildHierarchy(n, b));
     Vec x_true(n);
     for (auto& v : x_true) v = std::floor(rng.Uniform(0.0, 20.0));
     Vec y = op->Apply(x_true);
     for (auto& v : y) v += rng.Laplace(1.0);
-    Vec tree = TreeBasedLeastSquares(h, y);
+    MeasurementSet mset;
+    mset.Add(op, y, 1.0);
+    std::optional<Vec> tree = LaminarLeastSquares(mset);
+    ASSERT_TRUE(tree.has_value());
     Vec lsmr = Lsmr(*op, y).x;
     for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(tree[i], lsmr[i], 1e-5) << "b=" << b << " n=" << n;
+      EXPECT_NEAR((*tree)[i], lsmr[i], 1e-5) << "b=" << b << " n=" << n;
   }
 }
 

@@ -1,8 +1,8 @@
 // The EKTELO serving daemon.
 //
-//   ektelo_served --socket /tmp/ektelo.sock --ledger /var/lib/ektelo \
-//                 --tenant alpha:1.0:41:256:10000 \
-//                 --tenant beta:0.5:43:256:10000
+//   ektelo_served --socket /tmp/ektelo.sock --ledger /var/lib/ektelo
+//                 --tenant alpha:1.0:41:256:10000
+//                 --tenant beta:0.5:43:256:10000      (one command line)
 //
 // Each --tenant is name:eps_total:seed:n:scale — a tenant served from a
 // deterministic synthetic table (MakeHistogram1D kGaussianMix with the
