@@ -5,6 +5,8 @@
 #ifndef EKTELO_BENCH_BENCH_UTIL_H_
 #define EKTELO_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <optional>
@@ -41,6 +43,46 @@ inline double ScaledWorkloadError(const LinOp& w, const Vec& xhat,
                                   const Vec& x_true) {
   const double scale = std::max(Sum(x_true), 1.0);
   return Rmse(w.Apply(xhat), w.Apply(x_true)) / scale;
+}
+
+/// m ranges over [0, n) with lengths stratified log-uniformly over 1 .. n
+/// and uniform positions: every scale is equally represented, as in the
+/// range sets the served mixed workload draws.
+inline std::vector<RangeQuery> LogUniformRanges(std::size_t m, std::size_t n,
+                                                Rng* rng) {
+  std::vector<RangeQuery> ranges;
+  for (std::size_t q = 0; q < m; ++q) {
+    const double u = (double(q) + rng->Uniform(0.0, 1.0)) / double(m);
+    const std::size_t len = std::clamp<std::size_t>(
+        std::size_t(std::pow(double(n), u)), 1, n);
+    const std::size_t lo = std::min<std::size_t>(
+        std::size_t(rng->Uniform(0.0, double(n - len + 1))), n - len);
+    ranges.push_back({lo, lo + len - 1});
+  }
+  return ranges;
+}
+
+/// One measurement of `op` on a Gaussian-mix histogram of 1e6 records
+/// with Laplace(10) noise per answer.
+inline MeasurementSet NoisyMeasurement(LinOpPtr op, Rng* rng) {
+  Vec x = MakeHistogram1D(Shape1D::kGaussianMix, op->cols(), 1e6, rng);
+  Vec y = op->Apply(x);
+  for (double& v : y) v += rng->Laplace(10.0);
+  MeasurementSet mset;
+  mset.Add(std::move(op), std::move(y), 10.0);
+  return mset;
+}
+
+/// Best-of-`reps` wall seconds of fn().
+template <typename Fn>
+double BestSeconds(int reps, Fn&& fn) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    WallTimer t;
+    fn();
+    best = std::min(best, t.Elapsed());
+  }
+  return best;
 }
 
 /// Run fn, returning wall seconds; nullopt on Status failure.

@@ -20,6 +20,13 @@
 // that grows with n.  On a 4-core Xeon (AVX-512, GCC 12, Release):
 // tree 4.5 ms vs implicit LSMR 36 ms at n = 65536, and 0.71 s vs 19 s at
 // n = 4M.
+//
+// Two stacks the tree solver rejects get the same treatment, the exact
+// solver LeastSquaresInference picks against LSMR on the same stack, at
+// n = 4096, 16384 and 65536: Haar wavelets (Privelet's strategy; the
+// orthogonal-row solve is one Haar synthesis) and 48 overlapping
+// log-uniform ranges (the Workload plans; the row-space solve is a dense
+// QR over at most 2 * 48 - 1 atoms).
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -104,6 +111,42 @@ void BM_LsTreeBased(benchmark::State& state) {
     benchmark::DoNotOptimize(LaminarLeastSquares(mset));
 }
 
+/// Haar wavelet and 48-range measurements, one per size.
+const MeasurementSet& ExactProblem(bool haar, std::size_t n) {
+  static std::map<std::pair<bool, std::size_t>, MeasurementSet> cache;
+  auto it = cache.find({haar, n});
+  if (it == cache.end()) {
+    Rng rng(4321 + n);
+    LinOpPtr op = haar ? MakeWaveletOp(n)
+                       : RangeQueryOp(LogUniformRanges(48, n, &rng), n);
+    it = cache.emplace(std::make_pair(haar, n), NoisyMeasurement(op, &rng))
+             .first;
+  }
+  return it->second;
+}
+
+void BM_HaarOrthogonal(benchmark::State& state) {
+  const MeasurementSet& mset = ExactProblem(true, state.range(0));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(OrthogonalLeastSquares(mset));
+}
+
+void BM_HaarLsmr(benchmark::State& state) {
+  const MeasurementSet& mset = ExactProblem(true, state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(IterativeLs(mset));
+}
+
+void BM_RangesRowSpace(benchmark::State& state) {
+  const MeasurementSet& mset = ExactProblem(false, state.range(0));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(RowSpaceLeastSquares(mset));
+}
+
+void BM_RangesLsmr(benchmark::State& state) {
+  const MeasurementSet& mset = ExactProblem(false, state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(IterativeLs(mset));
+}
+
 void BM_NnlsDenseIterative(benchmark::State& state) {
   const std::size_t n = state.range(0);
   const Problem& p = GetProblem(n);
@@ -146,6 +189,14 @@ BENCHMARK(BM_LsImplicitIterative)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_LsTreeBased)->RangeMultiplier(4)->Range(1 << 10, 1 << 22)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
+BENCHMARK(BM_HaarOrthogonal)->RangeMultiplier(4)->Range(1 << 12, 1 << 16)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HaarLsmr)->RangeMultiplier(4)->Range(1 << 12, 1 << 16)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RangesRowSpace)->RangeMultiplier(4)->Range(1 << 12, 1 << 16)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RangesLsmr)->RangeMultiplier(4)->Range(1 << 12, 1 << 16)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NnlsDenseIterative)->RangeMultiplier(4)->Range(1 << 10, 1 << 12)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_NnlsSparseIterative)

@@ -2,8 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 namespace ektelo {
+
+namespace {
+
+double ColumnNorm(const double* x, std::size_t len) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < len; ++i) s += x[i] * x[i];
+  return std::sqrt(s);
+}
+
+/// Turns x = a[0, len) into a Householder reflector H = I - tau v v^T with
+/// H x = beta e_0: on return a[0] = beta and a[1, len) holds v below its
+/// implicit leading 1.  Returns tau; 0 when x is already a multiple of e_0.
+double MakeReflector(double* a, std::size_t len) {
+  double tail = 0.0;
+  for (std::size_t i = 1; i < len; ++i) tail += a[i] * a[i];
+  if (tail == 0.0) return 0.0;
+  const double alpha = a[0];
+  const double norm = std::sqrt(alpha * alpha + tail);
+  const double beta = alpha >= 0.0 ? -norm : norm;
+  const double inv = 1.0 / (alpha - beta);
+  for (std::size_t i = 1; i < len; ++i) a[i] *= inv;
+  a[0] = beta;
+  return (beta - alpha) / beta;
+}
+
+/// y[0, len) = H y for the reflector MakeReflector left in v.
+void Reflect(const double* v, double tau, double* y, std::size_t len) {
+  if (tau == 0.0) return;
+  double dot = y[0];
+  for (std::size_t i = 1; i < len; ++i) dot += v[i] * y[i];
+  dot *= tau;
+  y[0] -= dot;
+  for (std::size_t i = 1; i < len; ++i) y[i] -= dot * v[i];
+}
+
+}  // namespace
 
 DenseMatrix DenseMatrix::Identity(std::size_t n) {
   DenseMatrix m(n, n);
@@ -179,6 +217,94 @@ Vec SolveNormalEquations(DenseMatrix gram, const Vec& atb, double ridge) {
     EK_CHECK(CholeskyFactor(&chol));
   }
   return CholeskySolve(chol, atb);
+}
+
+Vec MinNormLeastSquares(const DenseMatrix& a, Vec b) {
+  const std::size_t m = a.rows(), k = a.cols();
+  EK_CHECK_EQ(b.size(), m);
+  // Column-major working copy: every step below runs down columns.
+  std::vector<double> q(m * k);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < k; ++j) q[j * m + i] = a.At(i, j);
+  auto col = [&q, m](std::size_t j) { return q.data() + j * m; };
+
+  // 1. A P = Q R by Householder QR with column pivoting.  norm[] holds the
+  //    trailing column norms, downdated per step as in LAPACK's xLAQP2 and
+  //    recomputed when the downdate has lost half the digits; ref[] is a
+  //    column's norm at its last recomputation.
+  std::vector<std::size_t> perm(k);
+  Vec norm(k), ref(k);
+  double max_norm = 0.0;
+  for (std::size_t j = 0; j < k; ++j) {
+    perm[j] = j;
+    norm[j] = ref[j] = ColumnNorm(col(j), m);
+    max_norm = std::max(max_norm, norm[j]);
+  }
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double tol = double(std::max(m, k)) * eps * max_norm;
+  const std::size_t steps = std::min(m, k);
+  std::size_t rank = 0;
+  for (; rank < steps; ++rank) {
+    const std::size_t j = rank;
+    std::size_t p = j;
+    for (std::size_t l = j + 1; l < k; ++l)
+      if (norm[l] > norm[p]) p = l;
+    if (norm[p] <= tol) break;  // the trailing block is numerically zero
+    if (p != j) {
+      std::swap_ranges(col(p), col(p) + m, col(j));
+      std::swap(perm[p], perm[j]);
+      std::swap(norm[p], norm[j]);
+      std::swap(ref[p], ref[j]);
+    }
+    const double tau = MakeReflector(col(j) + j, m - j);
+    for (std::size_t l = j + 1; l < k; ++l)
+      Reflect(col(j) + j, tau, col(l) + j, m - j);
+    Reflect(col(j) + j, tau, b.data() + j, m - j);
+    for (std::size_t l = j + 1; l < k; ++l) {
+      if (norm[l] == 0.0) continue;
+      const double r = std::abs(col(l)[j]) / norm[l];
+      const double left = std::max(0.0, 1.0 - r * r);
+      const double drift = norm[l] / ref[l];
+      if (left * drift * drift <= std::sqrt(eps)) {
+        norm[l] = ref[l] = ColumnNorm(col(l) + j + 1, m - j - 1);
+      } else {
+        norm[l] *= std::sqrt(left);
+      }
+    }
+  }
+
+  // 2. The minimum-norm w with T w = c, T = R[0, rank) x [0, k) (upper
+  //    trapezoidal, full row rank) and c = (Q^T b)[0, rank).  Full column
+  //    rank: back substitution.  Otherwise factor T^T = Q2 [S; 0] and take
+  //    w = Q2 [S^-T c; 0], which lies in T's row space.
+  Vec w(k, 0.0);
+  if (rank == k) {
+    for (std::size_t i = k; i-- > 0;) {
+      double s = b[i];
+      for (std::size_t l = i + 1; l < k; ++l) s -= col(l)[i] * w[l];
+      w[i] = s / col(i)[i];
+    }
+  } else if (rank > 0) {
+    std::vector<double> t(k * rank, 0.0);  // T^T, k x rank column-major
+    for (std::size_t i = 0; i < rank; ++i)
+      for (std::size_t l = i; l < k; ++l) t[i * k + l] = col(l)[i];
+    Vec tau(rank);
+    for (std::size_t i = 0; i < rank; ++i) {
+      tau[i] = MakeReflector(&t[i * k + i], k - i);
+      for (std::size_t l = i + 1; l < rank; ++l)
+        Reflect(&t[i * k + i], tau[i], &t[l * k + i], k - i);
+    }
+    for (std::size_t i = 0; i < rank; ++i) {  // S^T w = c, S^T lower
+      double s = b[i];
+      for (std::size_t l = 0; l < i; ++l) s -= t[i * k + l] * w[l];
+      w[i] = s / t[i * k + i];
+    }
+    for (std::size_t i = rank; i-- > 0;)
+      Reflect(&t[i * k + i], tau[i], w.data() + i, k - i);
+  }
+  Vec x(k);
+  for (std::size_t j = 0; j < k; ++j) x[perm[j]] = w[j];
+  return x;
 }
 
 DenseMatrix PseudoInverse(const DenseMatrix& a, double ridge) {

@@ -1,6 +1,7 @@
 // Row-major dense matrix with the operations EKTELO's direct (non-implicit)
 // code paths need: mat-vec, transposed mat-vec, mat-mat, Cholesky solve for
-// direct least squares, and pseudo-inverse via normal equations.
+// direct least squares, a rank-revealing minimum-norm least-squares solve,
+// and pseudo-inverse via normal equations.
 #ifndef EKTELO_LINALG_DENSE_H_
 #define EKTELO_LINALG_DENSE_H_
 
@@ -87,6 +88,15 @@ Vec DirectLeastSquares(const DenseMatrix& a, const Vec& b,
 /// ever materializing M.
 Vec SolveNormalEquations(DenseMatrix gram, const Vec& atb,
                          double ridge = 1e-10);
+
+/// Minimum-norm least squares, argmin ||x|| over argmin ||A x - b||_2, for a
+/// small dense A of any rank: a complete orthogonal decomposition.
+/// Householder QR with column pivoting reveals the numerical rank r (a
+/// trailing column norm at or below max(rows, cols) * eps * the largest
+/// column norm counts as zero); a QR of the leading r rows' transpose then
+/// picks the minimum-norm point.  No normal equations, so duplicate and
+/// dependent rows cost no accuracy.  O(rows * cols * min(rows, cols)).
+Vec MinNormLeastSquares(const DenseMatrix& a, Vec b);
 
 /// Moore-Penrose pseudo-inverse via ridge-regularized normal equations.
 /// Suitable for the small per-dimension matrices in strategy optimization.

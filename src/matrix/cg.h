@@ -3,7 +3,8 @@
 // requirements (mat-vec + transposed mat-vec), slightly different
 // numerical behaviour: LSMR is more stable on ill-conditioned systems,
 // CGNR is often a bit faster per iteration.  The ablation bench compares
-// them; inference defaults to LSMR as in the paper.
+// them; inference uses LSMR as in the paper wherever no exact solver
+// (ops/tree_ls.h) applies.
 //
 // CgLeastSquares runs CG against A.Gram() as a first-class operator, so
 // structured Grams (Kron of Grams, precomputed sparse/dense A^T A) cut the

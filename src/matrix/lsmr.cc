@@ -53,13 +53,18 @@ void SymOrtho(double a, double b, double* c, double* s, double* r) {
 
 }  // namespace
 
+std::size_t LsmrIterationCap(std::size_t rows, std::size_t cols,
+                             const LsmrOptions& opts) {
+  return opts.max_iters > 0
+             ? opts.max_iters
+             : std::max<std::size_t>(4 * std::min(rows, cols), 100);
+}
+
 LsmrResult Lsmr(const LinOp& a, const Vec& b, const LsmrOptions& opts) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   EK_CHECK_EQ(b.size(), m);
-  const std::size_t max_iters =
-      opts.max_iters > 0 ? opts.max_iters
-                         : std::max<std::size_t>(4 * std::min(m, n), 100);
+  const std::size_t max_iters = LsmrIterationCap(m, n, opts);
   obs::Span span("solver.lsmr", "solver", &LsmrSeconds());
   span.Attr("rows", static_cast<double>(m));
   span.Attr("cols", static_cast<double>(n));

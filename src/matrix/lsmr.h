@@ -33,6 +33,11 @@ struct LsmrResult {
   int istop = 0;
 };
 
+/// The iteration cap Lsmr applies to a rows x cols system: opts.max_iters,
+/// or when that is 0, max(4 min(rows, cols), 100).
+std::size_t LsmrIterationCap(std::size_t rows, std::size_t cols,
+                             const LsmrOptions& opts);
+
 /// Solve argmin_x ||A x - b||_2 (optionally damped).
 LsmrResult Lsmr(const LinOp& a, const Vec& b, const LsmrOptions& opts = {});
 

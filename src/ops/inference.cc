@@ -16,10 +16,16 @@ namespace ektelo {
 Vec LeastSquaresInference(const MeasurementSet& mset,
                           const LsmrOptions& opts) {
   EK_CHECK(!mset.empty());
-  // Laminar stacks (hierarchies, grids, partition-reduced strategies)
-  // have an exact two-pass solution; it is the min-norm point LSMR from
-  // x0 = 0 converges to, reached without iterating.
+  // Exact solvers first, each returning the min-norm point LSMR from
+  // x0 = 0 converges to, without iterating: laminar stacks (hierarchies,
+  // grids, partition-reduced strategies), orthogonal rows (wavelets), then
+  // small non-laminar indicator stacks (workload ranges) while a dense
+  // solve costs less than the LSMR run it replaces.
   if (std::optional<Vec> exact = LaminarLeastSquares(mset))
+    return *std::move(exact);
+  if (std::optional<Vec> exact = OrthogonalLeastSquares(mset))
+    return *std::move(exact);
+  if (std::optional<Vec> exact = RowSpaceLeastSquares(mset, opts))
     return *std::move(exact);
   // Canonicalize the weighted stack before the iterative solve: merged
   // measurement unions and hoisted weights cut the per-iteration apply

@@ -4,14 +4,19 @@
 //
 //  * LeastSquaresInference       — LS on the precision-weighted implicit
 //                                  stack (the paper's workhorse).  It
-//                                  dispatches by structure: a laminar
-//                                  stack (hierarchies, grids, partition-
-//                                  reduced strategies, Kron(I, X, I)
-//                                  stripes) gets the exact two-pass tree
-//                                  solve of ops/tree_ls.h; anything else
-//                                  (signed rows, overlapping ranges,
-//                                  wavelets) runs LSMR.  Both return the
-//                                  minimum-norm solution.
+//                                  dispatches by structure to the exact
+//                                  solvers of ops/tree_ls.h, in order: a
+//                                  laminar stack (hierarchies, grids,
+//                                  partition-reduced strategies,
+//                                  Kron(I, X, I) stripes) gets the two-pass
+//                                  tree solve; orthogonal rows (Haar
+//                                  wavelets, identities, their Kron
+//                                  products) one transposed apply; a small
+//                                  non-laminar indicator stack (workload
+//                                  ranges) a dense row-space solve.  Any
+//                                  other stack (signed rows, stacked
+//                                  wavelets, large range sets) runs LSMR.
+//                                  All return the minimum-norm solution.
 //  * NnlsInference               — LS with x >= 0 (Definition 5.2).
 //  * MultWeightsInference        — the multiplicative-weights update used
 //                                  by MWEM (maximum-entropy flavored).
@@ -31,8 +36,10 @@ namespace ektelo {
 
 /// Ordinary least squares over all measurements (Definition 5.1),
 /// precision-weighted so unequal noise scales are handled correctly.
-/// Exact for laminar stacks (LaminarLeastSquares); otherwise LSMR with
-/// `opts`.  Callers that must time or test LSMR itself call Lsmr on
+/// Exact when LaminarLeastSquares, OrthogonalLeastSquares or
+/// RowSpaceLeastSquares (gated against an LSMR run with `opts`) accepts
+/// the stack, tried in that order; otherwise LSMR with `opts`.  Callers
+/// that must time or test LSMR itself call Lsmr on
 /// MaybeRewrite(mset.WeightedOp()) directly.
 Vec LeastSquaresInference(const MeasurementSet& mset,
                           const LsmrOptions& opts = {});

@@ -13,11 +13,14 @@ Partition GridPartition2D(std::size_t nx, std::size_t ny, std::size_t gx,
                           std::size_t gy) {
   gx = std::min(std::max<std::size_t>(gx, 1), nx);
   gy = std::min(std::max<std::size_t>(gy, 1), ny);
+  // Block a spans rows [a nx / gx, (a + 1) nx / gx), as GridCellsSelect's
+  // rectangles do, so row i lies in the last block starting at or before
+  // it: a = ((i + 1) gx - 1) / nx.
   std::vector<uint32_t> group(nx * ny);
   for (std::size_t i = 0; i < nx; ++i) {
-    const std::size_t a = i * gx / nx;
+    const std::size_t a = ((i + 1) * gx - 1) / nx;
     for (std::size_t j = 0; j < ny; ++j) {
-      const std::size_t b = j * gy / ny;
+      const std::size_t b = ((j + 1) * gy - 1) / ny;
       group[i * ny + j] = static_cast<uint32_t>(a * gy + b);
     }
   }

@@ -20,7 +20,9 @@ namespace ektelo {
 
 // ------------------------------------------------- public (structural)
 
-/// Cells of an nx x ny grid mapped to a gx x gy block grid.
+/// Cells of an nx x ny grid mapped to a gx x gy block grid: group a * gy + b
+/// holds exactly the cells of GridCellsSelect(nx, ny, gx, gy)'s rectangle
+/// a * gy + b.
 Partition GridPartition2D(std::size_t nx, std::size_t ny, std::size_t gx,
                           std::size_t gy);
 

@@ -1,12 +1,14 @@
 #include "ops/tree_ls.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "linalg/dense.h"
 #include "matrix/combinators.h"
 #include "matrix/implicit_ops.h"
 #include "matrix/range_ops.h"
@@ -22,11 +24,9 @@ namespace {
 using Index = uint32_t;
 constexpr Index kNone = std::numeric_limits<Index>::max();
 
-obs::Histogram& TreeSeconds() {
-  static obs::Histogram& h = obs::Registry::Global().GetHistogram(
-      "ektelo_solver_seconds", "Wall time of one solver call",
-      "solver=\"tree\"");
-  return h;
+obs::Histogram& SolverSeconds(const char* labels) {
+  return obs::Registry::Global().GetHistogram(
+      "ektelo_solver_seconds", "Wall time of one solver call", labels);
 }
 
 // ------------------------------------------------------------ flattening
@@ -619,13 +619,223 @@ Vec Solve(const Recognized& rec, const MeasurementSet& mset) {
   return x;
 }
 
+// ------------------------------------------------------ orthogonal rows
+
+/// The squared row norms of op, the diagonal of A A^T, when its rows are
+/// mutually orthogonal: Haar wavelets, identities, and Kron, RowWeight and
+/// Scale built from them, with weights of any sign.  False otherwise.
+bool OrthogonalRows(const LinOp& op, Vec* d) {
+  if (auto* s = dynamic_cast<const ScaleOp*>(&op)) {
+    if (!OrthogonalRows(*s->child(), d)) return false;
+    for (double& v : *d) v *= s->scale() * s->scale();
+    return true;
+  }
+  if (auto* w = dynamic_cast<const RowWeightOp*>(&op)) {
+    if (!OrthogonalRows(*w->child(), d)) return false;
+    for (std::size_t r = 0; r < d->size(); ++r)
+      (*d)[r] *= w->weights()[r] * w->weights()[r];
+    return true;
+  }
+  if (auto* k = dynamic_cast<const KroneckerOp*>(&op)) {
+    // (A (x) B)(A (x) B)^T = A A^T (x) B B^T: row (i, r) is i * mb + r.
+    Vec da, db;
+    if (!OrthogonalRows(*k->a(), &da) || !OrthogonalRows(*k->b(), &db))
+      return false;
+    d->resize(da.size() * db.size());
+    for (std::size_t i = 0; i < da.size(); ++i)
+      for (std::size_t r = 0; r < db.size(); ++r)
+        (*d)[i * db.size() + r] = da[i] * db[r];
+    return true;
+  }
+  if (dynamic_cast<const IdentityOp*>(&op) != nullptr) {
+    d->assign(op.rows(), 1.0);
+    return true;
+  }
+  if (dynamic_cast<const WaveletOp*>(&op) != nullptr) {
+    // Row 0 is the total; level j's rows 2^j .. 2^(j+1)-1 are +-1 over
+    // blocks of n / 2^j cells (linalg/haar.h).
+    const std::size_t n = op.rows();
+    d->assign(n, double(n));
+    for (std::size_t first = 2, size = n / 2; first < n; first *= 2, size /= 2)
+      std::fill(d->begin() + first, d->begin() + 2 * first, double(size));
+    return true;
+  }
+  return false;
+}
+
+// ------------------------------------------------- row-space (dual) solve
+
+/// The dual solve's dense QR costs m * k * min(m, k) multiply-adds for m
+/// rows over k atoms.  LSMR on the same stack is bounded by its iteration
+/// cap times one apply pair, O(n + m) for the interval and indicator stacks
+/// this path takes.  The dual solve runs while
+///   m * k * min(m, k) + (units painted) <= kDualCostRatio * cap * (n + m).
+/// bench/ablation_inference times both solvers on either side of this
+/// crossover.
+constexpr double kDualCostRatio = 1.0;
+
+/// A flattened stack's elementary atoms: maximal unit sets that no row
+/// support splits.  The minimum-norm solution lies in the row space, so it
+/// is constant on every atom.  Atoms are numbered by their first unit.
+struct Atoms {
+  std::vector<Index> of_unit;  // per unit: its atom, kNone when uncovered
+  std::size_t count = 0;
+};
+
+/// Interval supports in O(rows + units): atoms start at every row's lo
+/// and hi + 1, and cover what some row covers.
+Atoms IntervalAtoms(const Flat& f) {
+  std::vector<int64_t> depth(f.units + 1, 0);
+  std::vector<uint8_t> cut(f.units + 1, 0);
+  for (const Block& b : f.blocks)
+    for (std::size_t r = 0; r < b.leaf->rows(); ++r) {
+      Index lo = 0, hi = 0;
+      RowInterval(b, r, f.units, &lo, &hi);
+      ++depth[lo];
+      --depth[hi + 1];
+      cut[lo] = cut[hi + 1] = 1;
+    }
+  Atoms atoms;
+  atoms.of_unit.assign(f.units, kNone);
+  int64_t covering = 0;
+  for (std::size_t u = 0; u < f.units; ++u) {
+    covering += depth[u];
+    if (covering == 0) continue;
+    if (cut[u] || u == 0 || atoms.of_unit[u - 1] == kNone) ++atoms.count;
+    atoms.of_unit[u] = Index(atoms.count - 1);
+  }
+  return atoms;
+}
+
+/// Arbitrary supports in O(sum of sizes): each row splits every class of
+/// units it touches into the part inside it and the part outside.
+Atoms PaintedAtoms(const Flat& f) {
+  std::vector<Index> cls(f.units, 0);  // class 0: no row so far
+  std::vector<Index> moved_to = {0}, moved_by = {kNone};
+  for (const Block& b : f.blocks)
+    for (std::size_t r = 0; r < b.leaf->rows(); ++r) {
+      const Index row = Index(b.first_row + r);
+      ForEachUnit(b, r, f.units, [&](Index u) {
+        const Index c = cls[u];
+        if (moved_by[c] != row) {
+          moved_by[c] = row;
+          moved_to[c] = Index(moved_to.size());
+          moved_to.push_back(0);
+          moved_by.push_back(kNone);
+        }
+        cls[u] = moved_to[c];
+      });
+    }
+  Atoms atoms;
+  atoms.of_unit.assign(f.units, kNone);
+  std::vector<Index> atom_of_class(moved_to.size(), kNone);
+  for (std::size_t u = 0; u < f.units; ++u) {
+    const Index c = cls[u];
+    if (c == 0) continue;
+    if (atom_of_class[c] == kNone) atom_of_class[c] = Index(atoms.count++);
+    atoms.of_unit[u] = atom_of_class[c];
+  }
+  return atoms;
+}
+
+/// Calls fn(a) once for every atom of block-local row r.
+template <typename Fn>
+void ForEachAtom(const Flat& f, const Atoms& atoms, const Block& b,
+                 std::size_t r, std::vector<Index>* seen, Fn&& fn) {
+  if (f.all_intervals) {
+    // Interval atoms are numbered left to right, so a row's atoms are
+    // the run from its first unit's to its last unit's.
+    Index lo = 0, hi = 0;
+    RowInterval(b, r, f.units, &lo, &hi);
+    for (Index a = atoms.of_unit[lo]; a <= atoms.of_unit[hi]; ++a) fn(a);
+    return;
+  }
+  const Index row = Index(b.first_row + r);
+  ForEachUnit(b, r, f.units, [&](Index u) {
+    const Index a = atoms.of_unit[u];
+    if ((*seen)[a] != row) {
+      (*seen)[a] = row;
+      fn(a);
+    }
+  });
+}
+
+/// Cells of unit u: u itself, or the cells of partition group u.
+template <typename Fn>
+void ForEachCell(const Flat& f, std::size_t u, Fn&& fn) {
+  if (f.reduce == nullptr) {
+    fn(u);
+    return;
+  }
+  const CsrMatrix& m = f.reduce->csr();
+  for (std::size_t k = m.indptr()[u]; k < m.indptr()[u + 1]; ++k)
+    fn(m.indices()[k]);
+}
+
+/// Solves a non-laminar indicator stack exactly: with x = v_a on the L_a
+/// cells of atom a and u_a = sqrt(L_a) v_a, ||x|| = ||u|| and row r reads
+/// c_r sum over its atoms of sqrt(L_a) u_a.  The minimum-norm u of that
+/// m x k problem gives the minimum-norm x.  Null past the cost gate.
+std::optional<Vec> SolveDual(const MeasurementSet& mset, const Flat& f,
+                             const LsmrOptions& lsmr, obs::Span* span) {
+  const std::size_t m = f.rows, n = f.cells;
+  const double bound = kDualCostRatio *
+                       double(LsmrIterationCap(m, n, lsmr)) * double(n + m);
+  const double paint = f.all_intervals ? 0.0 : double(f.implicit_cells);
+  if (paint > bound) return std::nullopt;
+  const Atoms atoms = f.all_intervals ? IntervalAtoms(f) : PaintedAtoms(f);
+  const std::size_t k = atoms.count;
+  if (double(m) * double(k) * double(std::min(m, k)) + paint > bound)
+    return std::nullopt;
+
+  Vec len(k, 0.0);
+  for (std::size_t u = 0; u < f.units; ++u)
+    if (atoms.of_unit[u] != kNone)
+      ForEachCell(f, u, [&](std::size_t) { len[atoms.of_unit[u]] += 1.0; });
+  for (double& l : len) l = std::sqrt(l);
+
+  // The weighted system: row r of measurement i is w_i * coef_r over its
+  // atoms, with answer w_i * y_r.
+  Vec weight(m);
+  for (std::size_t i = 0, r0 = 0; i < mset.size(); ++i) {
+    const std::size_t r1 = r0 + mset.items()[i].m->rows();
+    std::fill(weight.begin() + r0, weight.begin() + r1, mset.Weight(i));
+    r0 = r1;
+  }
+  if (!f.coef.empty())
+    for (std::size_t r = 0; r < m; ++r) weight[r] *= f.coef[r];
+  DenseMatrix c(m, k);
+  std::vector<Index> seen(f.all_intervals ? 0 : k, kNone);
+  for (const Block& blk : f.blocks)
+    for (std::size_t r = 0; r < blk.leaf->rows(); ++r) {
+      double* dst = c.RowPtr(blk.first_row + r);
+      const double cr = weight[blk.first_row + r];
+      ForEachAtom(f, atoms, blk, r, &seen,
+                  [&](Index a) { dst[a] = cr * len[a]; });
+    }
+  const Vec u = MinNormLeastSquares(c, mset.WeightedY());
+
+  Vec x(n, 0.0);
+  for (std::size_t unit = 0; unit < f.units; ++unit) {
+    const Index a = atoms.of_unit[unit];
+    if (a == kNone) continue;
+    const double v = u[a] / len[a];
+    ForEachCell(f, unit, [&](std::size_t cell) { x[cell] = v; });
+  }
+  span->Attr("rows", double(m));
+  span->Attr("cols", double(n));
+  span->Attr("atoms", double(k));
+  return x;
+}
+
 }  // namespace
 
 std::optional<Vec> LaminarLeastSquares(const MeasurementSet& mset) {
   EK_CHECK(!mset.empty());
   // Recognition runs inside the span; a stack that turns out not to be
   // laminar discards it, so the series counts tree solves only.
-  obs::Span span("solver.tree", "solver", &TreeSeconds());
+  static obs::Histogram& seconds = SolverSeconds("solver=\"tree\"");
+  obs::Span span("solver.tree", "solver", &seconds);
   std::optional<Recognized> rec = Recognize(mset);
   if (!rec) {
     span.Discard();
@@ -636,6 +846,42 @@ std::optional<Vec> LaminarLeastSquares(const MeasurementSet& mset) {
   span.Attr("rows", static_cast<double>(mset.TotalQueries()));
   span.Attr("cols", static_cast<double>(mset.Domain()));
   return Solve(*rec, mset);
+}
+
+std::optional<Vec> OrthogonalLeastSquares(const MeasurementSet& mset) {
+  EK_CHECK(!mset.empty());
+  static obs::Histogram& seconds = SolverSeconds("solver=\"orth\"");
+  obs::Span span("solver.orth", "solver", &seconds);
+  // x = A^T (A A^T)^+ b, the minimum-norm solution of any A; with A A^T
+  // diagonal its pseudo-inverse drops the zero rows and divides the rest.
+  LinOpPtr a = mset.WeightedOp();
+  Vec d;
+  if (!OrthogonalRows(*a, &d)) {
+    span.Discard();
+    return std::nullopt;
+  }
+  Vec z = mset.WeightedY();
+  for (std::size_t r = 0; r < z.size(); ++r)
+    z[r] = d[r] > 0.0 ? z[r] / d[r] : 0.0;
+  span.Attr("rows", static_cast<double>(z.size()));
+  span.Attr("cols", static_cast<double>(a->cols()));
+  return a->ApplyT(z);
+}
+
+std::optional<Vec> RowSpaceLeastSquares(const MeasurementSet& mset,
+                                        const LsmrOptions& lsmr) {
+  EK_CHECK(!mset.empty());
+  static obs::Histogram& seconds = SolverSeconds("solver=\"dual\"");
+  obs::Span span("solver.dual", "solver", &seconds);
+  LinOpPtr op = mset.StackedOp();
+  std::optional<Vec> x;
+  Flat f;
+  f.cells = op->cols();
+  if (op->rows() < kNone && op->cols() < kNone &&
+      Walk(*op, /*reduced=*/false, &f))
+    x = SolveDual(mset, f, lsmr, &span);
+  if (!x) span.Discard();
+  return x;
 }
 
 }  // namespace ektelo

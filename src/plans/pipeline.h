@@ -7,10 +7,11 @@
 //   Infer        — global inference over all measurements (LS / clamps)
 //
 // Infer(kLeastSquares) runs LeastSquaresInference once over the composed
-// stack, which picks the solver from the stack's structure: the exact
-// laminar tree solve (ops/tree_ls.h) for hierarchies, grids and
-// partition-reduced strategies — Product(X, P) with P the reduction —
-// and LSMR for everything else.
+// stack, which picks the solver from the stack's structure (ops/tree_ls.h):
+// the exact laminar tree solve for hierarchies, grids and partition-
+// reduced strategies — Product(X, P) with P the reduction — the exact
+// orthogonal-row solve for wavelets, the exact row-space solve for small
+// range workloads, and LSMR for everything else.
 //
 // threaded through a shared StageContext.  The context tracks the current
 // protected handle (partition stages repoint it at the reduced source),

@@ -1,12 +1,13 @@
-// Exact laminar least squares (ops/tree_ls.h) and its dispatch from
+// The exact least-squares solvers (ops/tree_ls.h) and their dispatch from
 // LeastSquaresInference.
 //
-//  * The laminar solver equals the dense minimum-norm LS solution (the
+//  * Each solver equals the dense minimum-norm LS solution (the
 //    pseudo-inverse of the weighted stack, via a long-double one-sided
-//    Jacobi SVD) to 1e-12 relative error on every supported shape.
-//  * Non-laminar stacks fall through to LSMR, bit for bit.
-//  * Each of the 12 laminar catalog plans runs without one LSMR solve;
-//    Privelet, Workload and WorkloadLS still use LSMR.
+//    Jacobi SVD) on every shape it accepts: the laminar and orthogonal-row
+//    solvers to 1e-12 relative error, the row-space (dual) solver to 1e-10.
+//  * Stacks none of them accepts fall through to LSMR, bit for bit.
+//  * None of the 18 catalog plan cases runs an LSMR solve: each is counted
+//    on the exact solver it is expected to take.
 //  * Plan results are bitwise equal with a 0-worker and a 4-worker pool.
 #include <cmath>
 #include <cstring>
@@ -35,14 +36,20 @@ namespace ektelo {
 namespace {
 
 /// Minimum-norm solution of min ||A x - b|| by one-sided Jacobi SVD in
-/// long double: x = sum_j v_j (u_j . b) / |u_j|^2 over the numerically
-/// nonzero singular directions.  Independent of the solver under test.
+/// long double.  Jacobi orthogonalizes the columns of A, or of A^T when A
+/// is wide (fewer, shorter columns): G V = U with G = A or A^T, then
+///   G = A:    x = sum_j v_j (u_j . b) / |u_j|^2
+///   G = A^T:  x = sum_j u_j (v_j . b) / |u_j|^2
+/// over the numerically nonzero u_j.  Independent of the solvers under test.
 Vec DenseMinNorm(const DenseMatrix& a, const Vec& b) {
   using LD = long double;
-  const std::size_t m = a.rows(), n = a.cols();
+  const bool wide = a.rows() < a.cols();
+  const std::size_t m = wide ? a.cols() : a.rows();  // G is m x n
+  const std::size_t n = wide ? a.rows() : a.cols();
   std::vector<LD> u(m * n), v(n * n, 0.0L);  // column-major
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < m; ++i) u[j * m + i] = a.RowPtr(i)[j];
+    for (std::size_t i = 0; i < m; ++i)
+      u[j * m + i] = wide ? a.RowPtr(j)[i] : a.RowPtr(i)[j];
     v[j * n + j] = 1.0L;
   }
   auto rotate = [](std::vector<LD>& w, std::size_t len, std::size_t p,
@@ -83,12 +90,15 @@ Vec DenseMinNorm(const DenseMatrix& a, const Vec& b) {
       norm2[j] += u[j * m + i] * u[j * m + i];
     max_norm2 = std::max(max_norm2, norm2[j]);
   }
-  std::vector<LD> x(n, 0.0L);
+  std::vector<LD> x(a.cols(), 0.0L);
   for (std::size_t j = 0; j < n; ++j) {
     if (norm2[j] <= 1e-20L * max_norm2) continue;  // null direction
-    LD ub = 0;
-    for (std::size_t i = 0; i < m; ++i) ub += u[j * m + i] * b[i];
-    for (std::size_t k = 0; k < n; ++k) x[k] += v[j * n + k] * ub / norm2[j];
+    const LD* in = wide ? &v[j * n] : &u[j * m];
+    const LD* out = wide ? &u[j * m] : &v[j * n];
+    LD dot = 0;
+    for (std::size_t i = 0; i < b.size(); ++i) dot += in[i] * b[i];
+    for (std::size_t k = 0; k < x.size(); ++k)
+      x[k] += out[k] * dot / norm2[j];
   }
   return Vec(x.begin(), x.end());
 }
@@ -108,11 +118,19 @@ MeasurementSet Measure(const std::vector<std::pair<LinOpPtr, double>>& ms,
   return mset;
 }
 
-/// The laminar solve equals the dense pseudo-inverse solution of the
-/// weighted stack to 1e-12 relative error.
-void ExpectExact(const MeasurementSet& mset) {
-  std::optional<Vec> x = LaminarLeastSquares(mset);
-  ASSERT_TRUE(x.has_value()) << "stack not recognized as laminar";
+using ExactSolver = std::optional<Vec> (*)(const MeasurementSet&);
+
+std::optional<Vec> RowSpace(const MeasurementSet& mset) {
+  return RowSpaceLeastSquares(mset);
+}
+
+/// `solve` accepts the stack, and its answer equals the dense pseudo-
+/// inverse solution of the weighted stack to `tol` relative error.
+void ExpectExact(const MeasurementSet& mset,
+                 ExactSolver solve = LaminarLeastSquares,
+                 double tol = 1e-12) {
+  std::optional<Vec> x = solve(mset);
+  ASSERT_TRUE(x.has_value()) << "stack not recognized";
   const Vec ref =
       DenseMinNorm(mset.WeightedOp()->MaterializeDense(), mset.WeightedY());
   ASSERT_EQ(x->size(), ref.size());
@@ -121,8 +139,8 @@ void ExpectExact(const MeasurementSet& mset) {
     diff += ((*x)[i] - ref[i]) * ((*x)[i] - ref[i]);
     norm += ref[i] * ref[i];
   }
-  EXPECT_LE(std::sqrt(diff), 1e-12 * std::sqrt(norm));
-  // The dispatch returns exactly the laminar answer.
+  EXPECT_LE(std::sqrt(diff), tol * std::sqrt(norm));
+  // The dispatch returns exactly this solver's answer.
   const Vec dispatched = LeastSquaresInference(mset);
   EXPECT_EQ(std::memcmp(dispatched.data(), x->data(),
                         x->size() * sizeof(double)),
@@ -264,18 +282,125 @@ TEST(ExactLsTest, UncoveredCells) {
   for (std::size_t c : {0u, 1u, 6u, 10u, 11u}) EXPECT_EQ(x[c], 0.0) << c;
 }
 
-TEST(ExactLsTest, NonLaminarStacksKeepLsmrBitwise) {
+TEST(ExactLsTest, HaarWaveletsSolvedByOneSynthesis) {
+  Rng rng(12);
+  for (std::size_t n = 2; n <= 256; n *= 2) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    MeasurementSet mset = Measure({{MakeWaveletOp(n), 1.5}}, &rng);
+    EXPECT_FALSE(LaminarLeastSquares(mset).has_value());
+    ExpectExact(mset, OrthogonalLeastSquares);
+  }
+}
+
+TEST(ExactLsTest, KronOfWaveletsAndIdentities) {
+  Rng rng(13);
+  ExpectExact(Measure({{MakeKronecker(MakeWaveletOp(8), MakeWaveletOp(16)),
+                        2.0}},
+                      &rng),
+              OrthogonalLeastSquares);
+  ExpectExact(Measure({{MakeKronecker(MakeIdentityOp(4), MakeWaveletOp(16)),
+                        0.5}},
+                      &rng),
+              OrthogonalLeastSquares);
+}
+
+TEST(ExactLsTest, OrthogonalRowsWithNegativeAndZeroWeights) {
+  // Zero-weight rows drop out of the pseudo-inverse; signs do not matter.
+  Rng rng(14);
+  Vec w(32);
+  for (std::size_t r = 0; r < w.size(); ++r)
+    w[r] = r % 5 == 3 ? 0.0 : (r % 2 ? -1.0 : 1.0) * rng.Uniform(0.5, 3.0);
+  ExpectExact(Measure({{MakeRowWeight(MakeWaveletOp(32), w), 1.0}}, &rng),
+              OrthogonalLeastSquares);
+  ExpectExact(Measure({{MakeScaled(MakeKronecker(MakeRowWeight(
+                                                     MakeWaveletOp(4),
+                                                     Vec{1, -2, 0, 3}),
+                                                 MakeWaveletOp(8)),
+                                   -0.5),
+                        1.0}},
+                      &rng),
+              OrthogonalLeastSquares);
+}
+
+TEST(ExactLsTest, DualSolvesOverlappingDuplicateAndDependentRanges) {
+  // [0, 9] = [0, 4] + [5, 9] is linearly dependent, [2, 7] is listed
+  // twice, [3, 12] and [6, 15] overlap partially; cells 16..19 lie in no
+  // range (min-norm: 0).
+  Rng rng(15);
+  const std::size_t n = 20;
+  MeasurementSet mset = Measure(
+      {{MakeRangeSetOp({{0, 4}, {5, 9}, {0, 9}, {2, 7}, {2, 7}, {3, 12},
+                        {6, 15}},
+                       n),
+        1.0}},
+      &rng);
+  EXPECT_FALSE(LaminarLeastSquares(mset).has_value());
+  ExpectExact(mset, RowSpace, 1e-10);
+  const Vec x = *RowSpaceLeastSquares(mset);
+  for (std::size_t c = 16; c < n; ++c) EXPECT_EQ(x[c], 0.0) << c;
+}
+
+TEST(ExactLsTest, DualWeighsMeasurementsByNoiseScale) {
+  // Two measurements of overlapping ranges at different noise scales,
+  // one of them row-weighted, plus an exact (scale 0) total.
+  Rng rng(16);
+  const std::size_t n = 256;
+  auto a = RangeQueryOp(RandomRanges(12, n, 120, &rng), n);
+  Vec w(10);
+  for (double& v : w) v = rng.Uniform(0.5, 2.0);
+  auto b = MakeRowWeight(RangeQueryOp(RandomRanges(10, n, 160, &rng), n), w);
+  ExpectExact(Measure({{a, 1.0}, {b, 4.0}}, &rng), RowSpace, 1e-10);
+  ExpectExact(Measure({{a, 2.0}, {MakeTotalOp(n), 0.0}}, &rng), RowSpace,
+              1e-10);
+}
+
+TEST(ExactLsTest, DualOnRectanglesAndPartitionGroups) {
+  // Overlapping rectangles and scattered indicator rows are painted into
+  // atoms; a partition reduction makes the atoms unions of groups.
+  Rng rng(17);
+  ExpectExact(Measure({{MakeRectangleSetOp(
+                            {{0, 3, 1, 4}, {2, 5, 0, 2}, {1, 4, 2, 6},
+                             {0, 5, 0, 6}, {1, 4, 2, 6}},
+                            6, 7),
+                        1.0}},
+                      &rng),
+              RowSpace, 1e-10);
+  std::vector<Triplet> t = {{0, 1, 1.0}, {0, 5, 1.0}, {0, 9, 1.0},
+                            {1, 5, 2.0}, {1, 6, 2.0}, {2, 0, 1.0},
+                            {2, 9, 1.0}, {2, 11, 1.0}};
+  ExpectExact(
+      Measure({{MakeSparse(CsrMatrix::FromTriplets(3, 12, std::move(t))),
+                1.0}},
+              &rng),
+      RowSpace, 1e-10);
+  Partition p = Partition::FromIntervals({0, 3, 4, 10, 17, 18}, 24);
+  ExpectExact(
+      Measure({{MakeProduct(MakeRangeSetOp({{0, 3}, {2, 5}, {1, 2}}, 6),
+                            p.ReduceOp()),
+                1.0}},
+              &rng),
+      RowSpace, 1e-10);
+}
+
+TEST(ExactLsTest, UnrecognizedStacksKeepLsmrBitwise) {
   Rng rng(10);
-  const std::vector<LinOpPtr> stacks = {
-      MakeRangeSetOp({{0, 5}, {3, 8}, {0, 9}}, 10),  // overlapping ranges
-      MakeWaveletOp(16),                             // Haar
-      MakeRowWeight(H2Select(8), Vec{1, 1, -1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-                                     1, 1, 1}),     // a negative weight
+  const std::size_t n = 64;
+  const std::vector<std::vector<std::pair<LinOpPtr, double>>> stacks = {
+      // A negative weight: not an indicator multiple, not orthogonal.
+      {{MakeRowWeight(H2Select(8), Vec{1, 1, -1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                                       1, 1, 1}),
+        1.0}},
+      // 300 overlapping ranges over 64 cells: past the dual cost gate.
+      {{RangeQueryOp(RandomRanges(300, n, n / 2, &rng), n), 1.0}},
+      // Haar stacked with a range set: signed rows, not orthogonal.
+      {{MakeWaveletOp(16), 1.0}, {MakeRangeSetOp({{0, 5}, {3, 8}}, 16), 2.0}},
   };
   for (std::size_t k = 0; k < stacks.size(); ++k) {
     SCOPED_TRACE("stack " + std::to_string(k));
-    MeasurementSet mset = Measure({{stacks[k], 1.0}}, &rng);
+    MeasurementSet mset = Measure(stacks[k], &rng);
     EXPECT_FALSE(LaminarLeastSquares(mset).has_value());
+    EXPECT_FALSE(OrthogonalLeastSquares(mset).has_value());
+    EXPECT_FALSE(RowSpaceLeastSquares(mset).has_value());
     const Vec lsmr =
         Lsmr(*MaybeRewrite(mset.WeightedOp()), mset.WeightedY()).x;
     const Vec got = LeastSquaresInference(mset);
@@ -291,28 +416,28 @@ struct PlanCase {
   const char* plan;
   std::vector<std::size_t> dims;
   std::size_t stripe_dim;
-  bool laminar;  // expected to take the exact path
+  const char* solver;  // the exact solver it is expected to take
 };
 
 const PlanCase kPlans[] = {
-    {"H2", {256}, 0, true},
-    {"HB", {256}, 0, true},
-    {"Greedy-H", {256}, 0, true},
-    {"Uniform", {256}, 0, true},
-    {"AHP", {256}, 0, true},
-    {"DAWA", {256}, 0, true},
-    {"QuadTree", {16, 16}, 0, true},
-    {"UniformGrid", {16, 16}, 0, true},
-    {"AdaptiveGrid", {16, 16}, 0, true},
-    {"HB-Striped", {16, 16}, 0, true},
-    {"HB-Striped", {16, 16}, 1, true},
-    {"HB-Striped_kron", {16, 16}, 0, true},
-    {"HB-Striped_kron", {16, 16}, 1, true},
-    {"DAWA-Striped", {16, 16}, 0, true},
-    {"DAWA-Striped", {16, 16}, 1, true},
-    {"Privelet", {256}, 0, false},
-    {"Workload", {256}, 0, false},
-    {"WorkloadLS", {256}, 0, false},
+    {"H2", {256}, 0, "tree"},
+    {"HB", {256}, 0, "tree"},
+    {"Greedy-H", {256}, 0, "tree"},
+    {"Uniform", {256}, 0, "tree"},
+    {"AHP", {256}, 0, "tree"},
+    {"DAWA", {256}, 0, "tree"},
+    {"QuadTree", {16, 16}, 0, "tree"},
+    {"UniformGrid", {16, 16}, 0, "tree"},
+    {"AdaptiveGrid", {16, 16}, 0, "tree"},
+    {"HB-Striped", {16, 16}, 0, "tree"},
+    {"HB-Striped", {16, 16}, 1, "tree"},
+    {"HB-Striped_kron", {16, 16}, 0, "tree"},
+    {"HB-Striped_kron", {16, 16}, 1, "tree"},
+    {"DAWA-Striped", {16, 16}, 0, "tree"},
+    {"DAWA-Striped", {16, 16}, 1, "tree"},
+    {"Privelet", {256}, 0, "orth"},
+    {"Workload", {256}, 0, "dual"},
+    {"WorkloadLS", {256}, 0, "dual"},
 };
 
 StatusOr<Vec> RunPlan(const PlanCase& c, uint64_t seed) {
@@ -337,24 +462,49 @@ obs::Histogram& SolverSeconds(const char* labels) {
       "ektelo_solver_seconds", "Wall time of one solver call", labels);
 }
 
-TEST(ExactLsTest, LaminarPlansNeverCallLsmr) {
+TEST(ExactLsTest, CatalogPlansNeverCallLsmr) {
   const bool timing = obs::TimingEnabled();
   obs::SetTimingEnabled(true);
   obs::Histogram& lsmr = SolverSeconds("solver=\"lsmr\"");
-  obs::Histogram& tree = SolverSeconds("solver=\"tree\"");
   uint64_t seed = 300;
   for (const PlanCase& c : kPlans) {
     SCOPED_TRACE(std::string(c.plan) + " stripe_dim=" +
                  std::to_string(c.stripe_dim));
-    const uint64_t lsmr0 = lsmr.Count(), tree0 = tree.Count();
+    obs::Histogram& exact =
+        SolverSeconds(("solver=\"" + std::string(c.solver) + "\"").c_str());
+    const uint64_t lsmr0 = lsmr.Count(), exact0 = exact.Count();
     StatusOr<Vec> xhat = RunPlan(c, ++seed);
     ASSERT_TRUE(xhat.ok()) << xhat.status().ToString();
-    if (c.laminar) {
-      EXPECT_EQ(lsmr.Count(), lsmr0);
-      EXPECT_GT(tree.Count(), tree0);
-    } else {
-      EXPECT_GT(lsmr.Count(), lsmr0);
-    }
+    EXPECT_EQ(lsmr.Count(), lsmr0);
+    EXPECT_GT(exact.Count(), exact0);
+  }
+  obs::SetTimingEnabled(timing);
+}
+
+TEST(ExactLsTest, AdaptiveGridOnUnevenBlocksStaysLaminar) {
+  // At 64 x 64 most level-1 grid sides do not divide 64.  The level-2
+  // refinement must stay inside its level-1 rectangle, or the stack stops
+  // being laminar and falls back to LSMR.
+  const bool timing = obs::TimingEnabled();
+  obs::SetTimingEnabled(true);
+  obs::Histogram& lsmr = SolverSeconds("solver=\"lsmr\"");
+  Rng rng(12);
+  Vec hist = MakeHistogram1D(Shape1D::kGaussianMix, 64 * 64, 1e5, &rng);
+  for (int k = 1; k <= 10; ++k) {
+    const double eps = 0.125 * k;
+    SCOPED_TRACE("eps=" + std::to_string(eps));
+    ProtectedKernel kernel(TableFromHistogram(hist, "v"), eps, 500 + k);
+    auto x = ProtectedTable::Root(&kernel).Vectorize();
+    ASSERT_TRUE(x.ok());
+    BudgetScope scope(eps);
+    PlanInput in;
+    in.dims = {64, 64};
+    const uint64_t lsmr0 = lsmr.Count();
+    ASSERT_TRUE(PlanRegistry::Global()
+                    .MustFind("AdaptiveGrid")
+                    .Execute(*x, scope, in)
+                    .ok());
+    EXPECT_EQ(lsmr.Count(), lsmr0);
   }
   obs::SetTimingEnabled(timing);
 }
@@ -362,7 +512,6 @@ TEST(ExactLsTest, LaminarPlansNeverCallLsmr) {
 TEST(ExactLsTest, PlansBitwiseEqualAcrossPoolWidths) {
   uint64_t seed = 400;
   for (const PlanCase& c : kPlans) {
-    if (!c.laminar) continue;
     SCOPED_TRACE(std::string(c.plan) + " stripe_dim=" +
                  std::to_string(c.stripe_dim));
     ++seed;

@@ -1,7 +1,10 @@
 // Tests for the operator library: hierarchies + tree inference, query
 // selection, partition selection, HDMM strategy scoring, measurement sets
 // and the generic inference operators.
+#include <array>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "matrix/combinators.h"
@@ -194,6 +197,25 @@ TEST(PartitionSelectTest, GridPartition2DBlocks) {
   EXPECT_EQ(p.group_of(0), p.group_of(1));      // (0,0) and (0,1)
   EXPECT_EQ(p.group_of(0), p.group_of(4 + 1));  // (1,1)
   EXPECT_NE(p.group_of(0), p.group_of(2));      // (0,2) in next block
+}
+
+TEST(PartitionSelectTest, GridPartition2DMatchesGridCellRectangles) {
+  // AdaptiveGrid refines each level-1 rectangle through this partition, so
+  // group g must be rectangle g's cells, also when gx does not divide nx
+  // (64 rows in 3 blocks: [0, 20], [21, 41], [42, 63]).
+  for (const auto& [nx, ny, gx, gy] :
+       std::vector<std::array<std::size_t, 4>>{
+           {64, 64, 3, 3}, {7, 5, 3, 2}, {10, 9, 4, 5}, {4, 4, 2, 2}}) {
+    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) + " in " +
+                 std::to_string(gx) + "x" + std::to_string(gy));
+    Partition p = GridPartition2D(nx, ny, gx, gy);
+    ASSERT_EQ(p.num_groups(), gx * gy);
+    const CsrMatrix rects = GridCellsSelect(nx, ny, gx, gy)->MaterializeSparse();
+    for (std::size_t g = 0; g < rects.rows(); ++g)
+      for (std::size_t k = rects.indptr()[g]; k < rects.indptr()[g + 1]; ++k)
+        EXPECT_EQ(p.group_of(rects.indices()[k]), g)
+            << "cell " << rects.indices()[k];
+  }
 }
 
 TEST(PartitionSelectTest, StripePartitionGroupsByRest) {
