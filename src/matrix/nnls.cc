@@ -62,12 +62,14 @@ double EstimateSpectralNormSq(const LinOp& a, std::size_t iters) {
   return EstimateSpectralNormSqGram(*a.Gram(), iters);
 }
 
-NnlsResult Nnls(const LinOp& a, const Vec& b, const NnlsOptions& opts) {
+NnlsResult Nnls(const LinOp& a, const Vec& b, const NnlsOptions& opts,
+                std::size_t cells) {
   const std::size_t n = a.cols();
   EK_CHECK_EQ(b.size(), a.rows());
   obs::Span span("solver.nnls", "solver", &NnlsSeconds());
   span.Attr("rows", static_cast<double>(a.rows()));
-  span.Attr("cols", static_cast<double>(n));
+  span.Attr("cols", static_cast<double>(cells != 0 ? cells : n));
+  span.Attr("atoms", static_cast<double>(n));
 
   // The whole FISTA loop runs on the normal-equations side: gradient and
   // objective are both functions of (Gram, A^T b, ||b||^2), so each

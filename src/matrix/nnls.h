@@ -40,8 +40,11 @@ struct NnlsResult {
   double residual_norm = 0.0;
 };
 
-/// argmin_{x >= 0} ||A x - b||_2.
-NnlsResult Nnls(const LinOp& a, const Vec& b, const NnlsOptions& opts = {});
+/// argmin_{x >= 0} ||A x - b||_2.  `cells`, when nonzero, is the domain
+/// whose atoms A's columns stand for (NnlsInference's atom reduction); the
+/// solver.nnls span records it as cols and A's columns as atoms.
+NnlsResult Nnls(const LinOp& a, const Vec& b, const NnlsOptions& opts = {},
+                std::size_t cells = 0);
 
 /// Largest squared singular value of A (spectral norm of A^T A), estimated
 /// by power iteration; exposed for tests.

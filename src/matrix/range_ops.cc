@@ -25,16 +25,17 @@ void RangeSetOp::ApplyRaw(const double* x, double* y) const {
 }
 
 void RangeSetOp::ApplyTRaw(const double* x, double* y) const {
-  // Difference array: add x_q on [lo, hi], then prefix-sum.
-  std::fill(y, y + cols(), 0.0);
-  Vec diff(cols() + 1, 0.0);
+  // Difference array, built in y: add x_q on [lo, hi], then prefix-sum.
+  // Entry n, which no output reads, is skipped.
+  const std::size_t n = cols();
+  std::fill(y, y + n, 0.0);
   for (std::size_t q = 0; q < ranges_.size(); ++q) {
-    diff[ranges_[q].lo] += x[q];
-    diff[ranges_[q].hi + 1] -= x[q];
+    y[ranges_[q].lo] += x[q];
+    if (ranges_[q].hi + 1 < n) y[ranges_[q].hi + 1] -= x[q];
   }
   double run = 0.0;
-  for (std::size_t i = 0; i < cols(); ++i) {
-    run += diff[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    run += y[i];
     y[i] = run;
   }
 }

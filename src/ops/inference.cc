@@ -3,11 +3,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "linalg/dense.h"
 #include "matrix/implicit_ops.h"
 #include "matrix/rewrite.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "ops/tree_ls.h"
 #include "util/check.h"
 
@@ -44,16 +47,85 @@ Vec NnlsInference(const MeasurementSet& mset,
     augmented.Add(MakeTotalOp(mset.Domain()), Vec{*known_total},
                   /*noise_scale=*/0.0);
   }
-  // Deliberately NOT rewritten: when the system is underdetermined (early
-  // MWEM rounds) the projected-gradient solver lands on a representation-
-  // dependent point of the minimizer set, so an algebraically equivalent
-  // but re-associated stack can move the answer by far more than
-  // roundoff.  Callers that want the merged-union fast path build it
-  // themselves (MwemLoopPlan), identically under both A/B toggles.
+  // Not rewritten: when the system is underdetermined (early MWEM rounds)
+  // the projected-gradient solver lands on a representation-dependent
+  // point of the minimizer set.  An indicator stack is instead reduced to
+  // its atoms, which depend on the rows alone, not on how they are
+  // grouped into operators.
   LinOpPtr a = augmented.WeightedOp();
   Vec b = augmented.WeightedY();
-  return Nnls(*a, b, opts).x;
+  std::optional<AtomReduction> red = AtomReduction::Of(*a);
+  std::optional<Vec> v0;
+  if (red && !opts.x0.empty()) v0 = red->Restrict(opts.x0);
+  if (!red || (!opts.x0.empty() && !v0)) return Nnls(*a, b, opts).x;
+  // With x = v_g on group g's L_g cells and u_g = sqrt(L_g) v_g, the
+  // objective, ||x|| and each FISTA step of a given size are those of the
+  // cell problem.
+  Vec root = red->lengths();
+  for (double& l : root) l = std::sqrt(l);
+  NnlsOptions reduced{.max_iters = opts.max_iters,
+                      .tol = opts.tol,
+                      .power_iters = opts.power_iters,
+                      .x0 = {}};
+  if (v0) {
+    reduced.x0 = *std::move(v0);
+    for (std::size_t g = 0; g < root.size(); ++g) reduced.x0[g] *= root[g];
+  }
+  std::unique_ptr<LinOp> op = red->Op(root);
+  Vec u = Nnls(*op, b, reduced, red->cells()).x;
+  for (std::size_t g = 0; g < root.size(); ++g) u[g] /= root[g];
+  return red->Expand(u);
 }
+
+namespace {
+
+obs::Histogram& MwSeconds() {
+  static obs::Histogram& h = obs::Registry::Global().GetHistogram(
+      "ektelo_solver_seconds", "Wall time of one solver call",
+      "solver=\"mw\"");
+  return h;
+}
+
+obs::Counter& MwIterations() {
+  static obs::Counter& c = obs::Registry::Global().GetCounter(
+      "ektelo_solver_iterations", "Solver inner iterations run",
+      "solver=\"mw\"");
+  return c;
+}
+
+/// MW updates of the values v over the columns of m, column j standing
+/// for len[j] cells holding v[j] each (len empty: one cell each), until
+/// opts.iterations or the mass vanishes.  Returns the iterations run.
+std::size_t MwIterate(const LinOp& m, const Vec& y, const Vec& len,
+                      double total, const MwOptions& opts, Vec* v) {
+  Vec& x = *v;
+  Vec mass(len.empty() ? 0 : x.size());
+  std::size_t it = 0;
+  for (; it < opts.iterations; ++it) {
+    // g = 0.5 M^T (y - M x): increase cells under-counted by x.
+    for (std::size_t j = 0; j < mass.size(); ++j) mass[j] = len[j] * x[j];
+    Vec res = m.Apply(len.empty() ? x : mass);
+    for (std::size_t i = 0; i < res.size(); ++i) res[i] = y[i] - res[i];
+    Vec g = m.ApplyT(res);
+    double new_total = 0.0;
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      // Clamp the exponent for numerical robustness on extreme residuals.
+      double e = opts.learning_rate * 0.5 * g[j] / total;
+      e = std::clamp(e, -30.0, 30.0);
+      x[j] *= std::exp(e);
+      new_total += len.empty() ? x[j] : len[j] * x[j];
+    }
+    if (new_total <= 0.0) {
+      ++it;
+      break;
+    }
+    const double rescale = total / new_total;
+    for (double& val : x) val *= rescale;
+  }
+  return it;
+}
+
+}  // namespace
 
 Vec MultWeightsStep(const MeasurementSet& mset, Vec xhat,
                     const MwOptions& opts) {
@@ -62,25 +134,25 @@ Vec MultWeightsStep(const MeasurementSet& mset, Vec xhat,
   EK_CHECK_EQ(xhat.size(), n);
   double total = Sum(xhat);
   if (total <= 0.0) return xhat;
-  LinOpPtr m = MaybeRewrite(mset.StackedOp());
+  obs::Span span("solver.mw", "solver", &MwSeconds());
+  LinOpPtr stack = mset.StackedOp();
   Vec y = mset.StackedY();
-  for (std::size_t it = 0; it < opts.iterations; ++it) {
-    // g = 0.5 M^T (y - M xhat): increase cells under-counted by xhat.
-    Vec res = m->Apply(xhat);
-    for (std::size_t i = 0; i < res.size(); ++i) res[i] = y[i] - res[i];
-    Vec g = m->ApplyT(res);
-    double new_total = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      // Clamp the exponent for numerical robustness on extreme residuals.
-      double e = opts.learning_rate * 0.5 * g[j] / total;
-      e = std::clamp(e, -30.0, 30.0);
-      xhat[j] *= std::exp(e);
-      new_total += xhat[j];
-    }
-    if (new_total <= 0.0) break;
-    const double rescale = total / new_total;
-    for (double& v : xhat) v *= rescale;
+  span.Attr("rows", static_cast<double>(y.size()));
+  span.Attr("cols", static_cast<double>(n));
+  // An indicator stack with xhat constant on its atoms keeps xhat so: the
+  // update runs over the atoms, with exp once per atom.
+  std::optional<AtomReduction> red = AtomReduction::Of(*stack);
+  std::optional<Vec> v = red ? red->Restrict(xhat) : std::nullopt;
+  std::size_t iterations = 0;
+  if (v) {
+    iterations = MwIterate(*red->Op(), y, red->lengths(), total, opts, &*v);
+    xhat = red->Expand(*v);
+  } else {
+    iterations = MwIterate(*MaybeRewrite(stack), y, {}, total, opts, &xhat);
   }
+  span.Attr("atoms", static_cast<double>(v ? red->groups() : n));
+  span.Attr("iterations", static_cast<double>(iterations));
+  MwIterations().Inc(iterations);
   return xhat;
 }
 

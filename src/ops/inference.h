@@ -22,6 +22,19 @@
 //                                  by MWEM (maximum-entropy flavored).
 //  * DirectLeastSquaresInference — dense normal equations (the
 //                                  "Dense+Direct" baseline of Fig. 5).
+//
+// NnlsInference and MultWeightsStep reduce before they iterate.  When the
+// stack is one AtomReduction (ops/tree_ls.h) accepts (positive indicator
+// multiples: ranges, rectangles, totals, partition groups) and the start
+// is constant on each of its atoms (checked in O(n); NNLS without a start
+// always qualifies), the loop runs over the k <= 2m + 1 atoms of m ranges,
+// with the cells no row covers as one more group, and expands the result.
+// MW keeps per-cell values and weights each total by atom length, so exp
+// runs k times per iteration instead of n.  NNLS runs the unchanged Nnls
+// on the stack over the atoms in u_a = sqrt(L_a) v_a, where the objective,
+// ||x|| and each FISTA step of a given size are the cell problem's (the
+// step size comes from a power iteration on the smaller operator).  Any
+// other stack (signed rows, DenseOp) or start runs the cell loop.
 #ifndef EKTELO_OPS_INFERENCE_H_
 #define EKTELO_OPS_INFERENCE_H_
 
@@ -46,7 +59,9 @@ Vec LeastSquaresInference(const MeasurementSet& mset,
 
 /// Non-negative least squares (Definition 5.2).  If known_total is given,
 /// it is added as an (effectively exact) Total measurement — the
-/// known-total side information used by MWEM variants (c)/(d).
+/// known-total side information used by MWEM variants (c)/(d).  Runs over
+/// the stack's atoms when it can (see above); the answer then depends on
+/// the measured rows only, not on how they are grouped into operators.
 Vec NnlsInference(const MeasurementSet& mset,
                   std::optional<double> known_total = std::nullopt,
                   const NnlsOptions& opts = {});
@@ -64,7 +79,8 @@ Vec MultWeightsInference(const MeasurementSet& mset, double total,
                          const MwOptions& opts = {});
 
 /// One multiplicative-weights step from a given starting estimate (MWEM's
-/// incremental use).
+/// incremental use).  Over atoms, it matches the cell loop to rounding,
+/// and bitwise when every atom is one cell.
 Vec MultWeightsStep(const MeasurementSet& mset, Vec xhat,
                     const MwOptions& opts = {});
 

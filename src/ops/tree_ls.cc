@@ -738,28 +738,6 @@ Atoms PaintedAtoms(const Flat& f) {
   return atoms;
 }
 
-/// Calls fn(a) once for every atom of block-local row r.
-template <typename Fn>
-void ForEachAtom(const Flat& f, const Atoms& atoms, const Block& b,
-                 std::size_t r, std::vector<Index>* seen, Fn&& fn) {
-  if (f.all_intervals) {
-    // Interval atoms are numbered left to right, so a row's atoms are
-    // the run from its first unit's to its last unit's.
-    Index lo = 0, hi = 0;
-    RowInterval(b, r, f.units, &lo, &hi);
-    for (Index a = atoms.of_unit[lo]; a <= atoms.of_unit[hi]; ++a) fn(a);
-    return;
-  }
-  const Index row = Index(b.first_row + r);
-  ForEachUnit(b, r, f.units, [&](Index u) {
-    const Index a = atoms.of_unit[u];
-    if ((*seen)[a] != row) {
-      (*seen)[a] = row;
-      fn(a);
-    }
-  });
-}
-
 /// Cells of unit u: u itself, or the cells of partition group u.
 template <typename Fn>
 void ForEachCell(const Flat& f, std::size_t u, Fn&& fn) {
@@ -770,6 +748,157 @@ void ForEachCell(const Flat& f, std::size_t u, Fn&& fn) {
   const CsrMatrix& m = f.reduce->csr();
   for (std::size_t k = m.indptr()[u]; k < m.indptr()[u + 1]; ++k)
     fn(m.indices()[k]);
+}
+
+}  // namespace
+
+// ------------------------------------------------------- atom reduction
+
+/// The stack's rows over its groups: atom intervals [lo, hi] when every
+/// support is an interval (interval atoms are numbered left to right),
+/// else each row's atom list.  The uncovered group, if any, is numbered
+/// `atoms` and lies in no row.
+struct AtomReduction::Rows {
+  std::size_t atoms = 0, groups = 0;
+  Vec coef;  // per row; empty = all 1
+  bool intervals = true;
+  std::vector<Index> lo, hi;       // per row, intervals only
+  std::vector<Index> start, list;  // CSR row lists otherwise
+
+  double Coef(std::size_t r) const { return coef.empty() ? 1.0 : coef[r]; }
+
+  /// Calls fn(a) for every atom of row r.
+  template <typename Fn>
+  void ForEachAtom(std::size_t r, Fn&& fn) const {
+    if (intervals) {
+      for (Index a = lo[r]; a <= hi[r]; ++a) fn(a);
+    } else {
+      for (Index k = start[r]; k < start[r + 1]; ++k) fn(list[k]);
+    }
+  }
+};
+
+namespace {
+
+class AtomRowsOp final : public LinOp {
+ public:
+  using Rows = AtomReduction::Rows;
+  AtomRowsOp(std::size_t rows, std::shared_ptr<const Rows> s, Vec col_scale)
+      : LinOp(rows, s->groups),
+        s_(std::move(s)),
+        scale_(std::move(col_scale)) {}
+
+  void ApplyRaw(const double* u, double* y) const override {
+    const Rows& s = *s_;
+    auto scaled = [&](std::size_t a) {
+      return scale_.empty() ? u[a] : scale_[a] * u[a];
+    };
+    if (s.intervals) {
+      // Prefix sums over the covered atoms, as RangeSetOp does over cells.
+      Vec pre(s.atoms + 1, 0.0);
+      for (std::size_t a = 0; a < s.atoms; ++a) pre[a + 1] = pre[a] + scaled(a);
+      for (std::size_t r = 0; r < rows(); ++r)
+        y[r] = s.Coef(r) * (pre[s.hi[r] + 1] - pre[s.lo[r]]);
+      return;
+    }
+    for (std::size_t r = 0; r < rows(); ++r) {
+      double sum = 0.0;
+      s.ForEachAtom(r, [&](Index a) { sum += scaled(a); });
+      y[r] = s.Coef(r) * sum;
+    }
+  }
+
+  void ApplyTRaw(const double* x, double* y) const override {
+    const Rows& s = *s_;
+    std::fill(y, y + cols(), 0.0);
+    if (s.intervals) {
+      // A difference array over the covered atoms, then its prefix sums.
+      for (std::size_t r = 0; r < rows(); ++r) {
+        const double v = s.Coef(r) * x[r];
+        y[s.lo[r]] += v;
+        if (s.hi[r] + 1 < s.atoms) y[s.hi[r] + 1] -= v;
+      }
+      double run = 0.0;
+      for (std::size_t a = 0; a < s.atoms; ++a) {
+        run += y[a];
+        y[a] = run;
+      }
+    } else {
+      for (std::size_t r = 0; r < rows(); ++r) {
+        const double v = s.Coef(r) * x[r];
+        s.ForEachAtom(r, [&](Index a) { y[a] += v; });
+      }
+    }
+    if (!scale_.empty())
+      for (std::size_t a = 0; a < cols(); ++a) y[a] *= scale_[a];
+  }
+
+  std::string DebugName() const override {
+    return "AtomRows(" + std::to_string(rows()) + "x" +
+           std::to_string(cols()) + ")";
+  }
+
+ private:
+  std::shared_ptr<const Rows> s_;
+  Vec scale_;
+};
+
+/// f's rows over the atoms `atoms` found for it.
+AtomReduction Reduce(const Flat& f, Atoms atoms) {
+  auto s = std::make_shared<AtomReduction::Rows>();
+  s->atoms = atoms.count;
+  s->intervals = f.all_intervals;
+  s->coef = f.coef;
+  if (s->intervals) {
+    s->lo.resize(f.rows);
+    s->hi.resize(f.rows);
+  } else {
+    s->start.reserve(f.rows + 1);
+    s->start.push_back(0);
+  }
+  std::vector<Index> seen(s->intervals ? 0 : atoms.count, kNone);
+  for (const Block& b : f.blocks)
+    for (std::size_t r = 0; r < b.leaf->rows(); ++r) {
+      const Index row = Index(b.first_row + r);
+      if (s->intervals) {
+        // Interval atoms are numbered left to right, so a row's atoms are
+        // the run from its first unit's to its last unit's.
+        Index lo = 0, hi = 0;
+        RowInterval(b, r, f.units, &lo, &hi);
+        s->lo[row] = atoms.of_unit[lo];
+        s->hi[row] = atoms.of_unit[hi];
+        continue;
+      }
+      ForEachUnit(b, r, f.units, [&](Index u) {
+        const Index a = atoms.of_unit[u];
+        if (seen[a] != row) {
+          seen[a] = row;
+          s->list.push_back(a);
+        }
+      });
+      s->start.push_back(Index(s->list.size()));
+    }
+
+  const Index uncovered = Index(atoms.count);
+  std::vector<Index> group_of_cell;
+  if (f.reduce == nullptr) {  // units are cells
+    group_of_cell = std::move(atoms.of_unit);
+    for (Index& g : group_of_cell)
+      if (g == kNone) g = uncovered;
+  } else {
+    group_of_cell.assign(f.cells, uncovered);
+    for (std::size_t u = 0; u < f.units; ++u)
+      if (atoms.of_unit[u] != kNone)
+        ForEachCell(f, u, [&](std::size_t cell) {
+          group_of_cell[cell] = atoms.of_unit[u];
+        });
+  }
+  Vec length(atoms.count + 1, 0.0);
+  for (Index g : group_of_cell) length[g] += 1.0;
+  if (length.back() == 0.0) length.pop_back();
+  s->groups = length.size();
+  return AtomReduction(std::move(group_of_cell), std::move(length),
+                       std::move(s));
 }
 
 /// Solves a non-laminar indicator stack exactly: with x = v_a on the L_a
@@ -783,15 +912,14 @@ std::optional<Vec> SolveDual(const MeasurementSet& mset, const Flat& f,
                        double(LsmrIterationCap(m, n, lsmr)) * double(n + m);
   const double paint = f.all_intervals ? 0.0 : double(f.implicit_cells);
   if (paint > bound) return std::nullopt;
-  const Atoms atoms = f.all_intervals ? IntervalAtoms(f) : PaintedAtoms(f);
+  Atoms atoms = f.all_intervals ? IntervalAtoms(f) : PaintedAtoms(f);
   const std::size_t k = atoms.count;
   if (double(m) * double(k) * double(std::min(m, k)) + paint > bound)
     return std::nullopt;
 
-  Vec len(k, 0.0);
-  for (std::size_t u = 0; u < f.units; ++u)
-    if (atoms.of_unit[u] != kNone)
-      ForEachCell(f, u, [&](std::size_t) { len[atoms.of_unit[u]] += 1.0; });
+  const AtomReduction red = Reduce(f, std::move(atoms));
+  const AtomReduction::Rows& s = red.rows();
+  Vec len(red.lengths().begin(), red.lengths().begin() + k);
   for (double& l : len) l = std::sqrt(l);
 
   // The weighted system: row r of measurement i is w_i * coef_r over its
@@ -802,33 +930,64 @@ std::optional<Vec> SolveDual(const MeasurementSet& mset, const Flat& f,
     std::fill(weight.begin() + r0, weight.begin() + r1, mset.Weight(i));
     r0 = r1;
   }
-  if (!f.coef.empty())
-    for (std::size_t r = 0; r < m; ++r) weight[r] *= f.coef[r];
+  if (!s.coef.empty())
+    for (std::size_t r = 0; r < m; ++r) weight[r] *= s.coef[r];
   DenseMatrix c(m, k);
-  std::vector<Index> seen(f.all_intervals ? 0 : k, kNone);
-  for (const Block& blk : f.blocks)
-    for (std::size_t r = 0; r < blk.leaf->rows(); ++r) {
-      double* dst = c.RowPtr(blk.first_row + r);
-      const double cr = weight[blk.first_row + r];
-      ForEachAtom(f, atoms, blk, r, &seen,
-                  [&](Index a) { dst[a] = cr * len[a]; });
-    }
+  for (std::size_t r = 0; r < m; ++r) {
+    double* dst = c.RowPtr(r);
+    s.ForEachAtom(r, [&](Index a) { dst[a] = weight[r] * len[a]; });
+  }
   const Vec u = MinNormLeastSquares(c, mset.WeightedY());
 
-  Vec x(n, 0.0);
-  for (std::size_t unit = 0; unit < f.units; ++unit) {
-    const Index a = atoms.of_unit[unit];
-    if (a == kNone) continue;
-    const double v = u[a] / len[a];
-    ForEachCell(f, unit, [&](std::size_t cell) { x[cell] = v; });
-  }
+  Vec v(red.groups(), 0.0);  // the uncovered group, if any, stays 0
+  for (std::size_t a = 0; a < k; ++a) v[a] = u[a] / len[a];
   span->Attr("rows", double(m));
   span->Attr("cols", double(n));
   span->Attr("atoms", double(k));
-  return x;
+  return red.Expand(v);
 }
 
 }  // namespace
+
+std::optional<AtomReduction> AtomReduction::Of(const LinOp& stack) {
+  if (stack.rows() >= kNone || stack.cols() >= kNone) return std::nullopt;
+  Flat f;
+  f.cells = stack.cols();
+  if (!Walk(stack, /*reduced=*/false, &f)) return std::nullopt;
+  if (!f.all_intervals && f.implicit_cells > 2 * (f.rows + f.units))
+    return std::nullopt;
+  return Reduce(f, f.all_intervals ? IntervalAtoms(f) : PaintedAtoms(f));
+}
+
+std::optional<Vec> AtomReduction::Restrict(const Vec& x) const {
+  EK_CHECK_EQ(x.size(), cells());
+  Vec v(groups());
+  std::vector<uint8_t> seen(groups(), 0);
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    const Index g = group_of_cell_[j];
+    if (!seen[g]) {
+      seen[g] = 1;
+      v[g] = x[j];
+    } else if (!BitwiseEq(v[g], x[j])) {
+      return std::nullopt;
+    }
+  }
+  return v;
+}
+
+Vec AtomReduction::Expand(const Vec& v) const {
+  EK_CHECK_EQ(v.size(), groups());
+  Vec x(cells());
+  for (std::size_t j = 0; j < x.size(); ++j) x[j] = v[group_of_cell_[j]];
+  return x;
+}
+
+std::unique_ptr<LinOp> AtomReduction::Op(Vec col_scale) const {
+  EK_CHECK(col_scale.empty() || col_scale.size() == groups());
+  const std::size_t rows =
+      rows_->intervals ? rows_->lo.size() : rows_->start.size() - 1;
+  return std::make_unique<AtomRowsOp>(rows, rows_, std::move(col_scale));
+}
 
 std::optional<Vec> LaminarLeastSquares(const MeasurementSet& mset) {
   EK_CHECK(!mset.empty());

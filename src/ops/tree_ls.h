@@ -63,10 +63,18 @@
 // (linalg/dense.h MinNormLeastSquares), so duplicate and dependent ranges
 // are exact.  It runs only while that dense solve costs less than the
 // LSMR run it replaces (see kDualCostRatio in tree_ls.cc).
+//
+// The same atoms serve the iterative inference operators (MW and NNLS in
+// ops/inference.cc): AtomReduction hands them the stack as an operator
+// over its atoms, plus the maps between cell vectors and per-atom values.
 #ifndef EKTELO_OPS_TREE_LS_H_
 #define EKTELO_OPS_TREE_LS_H_
 
+#include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "matrix/lsmr.h"
 #include "ops/measurement.h"
@@ -91,6 +99,53 @@ std::optional<Vec> OrthogonalLeastSquares(const MeasurementSet& mset);
 /// dense solve would cost more than the LSMR run `lsmr` describes.
 std::optional<Vec> RowSpaceLeastSquares(const MeasurementSet& mset,
                                         const LsmrOptions& lsmr = {});
+
+/// A stack of positive indicator multiples (the rows LaminarLeastSquares
+/// accepts, supports in any arrangement) over its cell groups: the
+/// elementary atoms, numbered by first unit, then one more group holding
+/// the cells no row covers, when there are any.  Any function of the
+/// stack's row answers is constant on every group, so an iterative solver
+/// whose start is constant on every group can run on the groups alone.
+class AtomReduction {
+ public:
+  /// The reduction of `stack`, or nullopt when some row is not a positive
+  /// indicator multiple or finding the atoms would cost more than a pass
+  /// over the rows and units (large rectangle sets).
+  static std::optional<AtomReduction> Of(const LinOp& stack);
+
+  std::size_t cells() const { return group_of_cell_.size(); }
+  std::size_t groups() const { return length_.size(); }
+  /// Cells per group.
+  const Vec& lengths() const { return length_; }
+
+  /// x's value on each group, or nullopt when x is not bitwise constant
+  /// on every group.  O(cells).
+  std::optional<Vec> Restrict(const Vec& x) const;
+  /// The cell vector holding v[g] on every cell of group g.
+  Vec Expand(const Vec& v) const;
+
+  /// The stack as a rows x groups operator: row r is c_r times the sum of
+  /// col_scale[g] u_g over its groups, c_r its indicator multiple; an
+  /// empty col_scale means all 1.  O(rows + groups) per apply for interval
+  /// supports.  The operator is not shared-owned, so solvers given it
+  /// memoize nothing in the OperatorCache.
+  std::unique_ptr<LinOp> Op(Vec col_scale = {}) const;
+
+  /// The rows over the groups, shared with Op's operators and the
+  /// row-space solve; opaque outside ops/tree_ls.cc, which builds them.
+  struct Rows;
+  AtomReduction(std::vector<uint32_t> group_of_cell, Vec length,
+                std::shared_ptr<const Rows> rows)
+      : group_of_cell_(std::move(group_of_cell)),
+        length_(std::move(length)),
+        rows_(std::move(rows)) {}
+  const Rows& rows() const { return *rows_; }
+
+ private:
+  std::vector<uint32_t> group_of_cell_;
+  Vec length_;
+  std::shared_ptr<const Rows> rows_;
+};
 
 }  // namespace ektelo
 

@@ -226,17 +226,6 @@ class MwemLoopPlan final : public Plan {
 
     Vec xhat(n, total / double(n));
     MeasurementSet mset;
-    // Variant c/d inference state: the measurement union maintained as
-    // ONE RangeSetOp (all rounds share a noise scale, so the merged
-    // operator is exactly the stacked system).  NNLS gram applies then
-    // cost one prefix-sum pass instead of one per round — the same
-    // canonical form the rewrite engine derives for the MW variants, but
-    // applied at plan level so EKTELO_REWRITE=0 shares it: projected-
-    // gradient inference selects among non-unique minimizers in a
-    // representation-sensitive way, so both A/B paths must hand the
-    // solver bitwise-identical operators (see NnlsInference).
-    std::vector<Interval> measured;
-    Vec measured_y;
     for (std::size_t round = 1; round <= opts_.rounds; ++round) {
       EK_ASSIGN_OR_RETURN(
           std::size_t pick, x.WorstApprox(*w_op, xhat, eps_select, scope));
@@ -248,18 +237,13 @@ class MwemLoopPlan final : public Plan {
       LinOpPtr m = ApplyMode(RangeQueryOp(to_measure, n), in.mode);
       // Disjoint ranges: sensitivity 1 whether or not we augmented.
       EK_ASSIGN_OR_RETURN(Vec y, x.Laplace(*m, eps_measure, scope));
-
+      mset.Add(std::move(m), std::move(y), 1.0 / eps_measure);
       if (opts_.nnls_inference) {
-        for (const auto& q : to_measure) measured.push_back({q.lo, q.hi});
-        measured_y.insert(measured_y.end(), y.begin(), y.end());
-        MeasurementSet merged;
-        merged.Add(ApplyMode(MakeRangeSetOp(measured, n), in.mode),
-                   measured_y, 1.0 / eps_measure);
         // Warm-start from the previous round's estimate: faster and keeps
         // the uniform prior in yet-unmeasured directions, like MW.
-        xhat = NnlsInference(merged, total, {.max_iters = 300, .x0 = xhat});
+        xhat = NnlsInference(mset, total,
+                             {.max_iters = 300, .x0 = std::move(xhat)});
       } else {
-        mset.Add(m, std::move(y), 1.0 / eps_measure);
         xhat = MultWeightsStep(mset, std::move(xhat),
                                {.iterations = opts_.mw_iterations});
       }

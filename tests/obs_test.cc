@@ -11,10 +11,12 @@
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "kernel/kernel.h"
+#include "matrix/range_ops.h"
 #include "obs/export.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ops/inference.h"
 #include "plans/plans.h"
 
 namespace ektelo {
@@ -229,6 +231,70 @@ TEST(ObsLogTest, RateLimiterSuppressesRepeatsPerEvent) {
                              {{"k", "v"}}));
   EXPECT_TRUE(obs::LogEvery(obs::Severity::kWarn, "obs_test_evt_b", 3600.0,
                             {{"k", "v"}}));
+}
+
+// ------------------------------------------------------------ solvers
+
+const obs::TraceEvent* FindSpan(const std::vector<obs::TraceEvent>& events,
+                                const char* name) {
+  for (const obs::TraceEvent& ev : events)
+    if (std::strcmp(ev.name, name) == 0) return &ev;
+  return nullptr;
+}
+
+double SpanAttr(const obs::TraceEvent& ev, const char* key) {
+  for (int i = 0; i < ev.n_attrs; ++i)
+    if (std::strcmp(ev.attrs[i].key, key) == 0) return ev.attrs[i].num;
+  return -1.0;
+}
+
+TEST(ObsSolverTest, MwAndNnlsObserveOncePerCallWithAtoms) {
+  // Ranges [0,9] and [5,19] over 32 cells: atoms [0,4], [5,9], [10,19]
+  // and the uncovered group [20,31].
+  MeasurementSet mset;
+  mset.Add(MakeRangeSetOp({{0, 9}, {5, 19}}, 32), Vec{40.0, 70.0}, 2.0);
+  auto& registry = obs::Registry::Global();
+  obs::Histogram& mw_seconds = registry.GetHistogram(
+      "ektelo_solver_seconds", "Wall time of one solver call",
+      "solver=\"mw\"");
+  obs::Counter& mw_iters = registry.GetCounter(
+      "ektelo_solver_iterations", "Solver inner iterations run",
+      "solver=\"mw\"");
+  obs::Histogram& nnls_seconds = registry.GetHistogram(
+      "ektelo_solver_seconds", "Wall time of one solver call",
+      "solver=\"nnls\"");
+  obs::SetTimingEnabled(true);
+  obs::SetTraceEnabled(true);
+  const uint64_t mw0 = mw_seconds.Count(), it0 = mw_iters.Value();
+  const uint64_t nnls0 = nnls_seconds.Count();
+  Vec varied(32);
+  for (std::size_t j = 0; j < varied.size(); ++j) varied[j] = 1.0 + j % 3;
+  obs::RequestTrace trace;
+  {
+    obs::ScopedTraceContext ctx(&trace);
+    MultWeightsStep(mset, Vec(32, 2.0), {.iterations = 7});
+    MultWeightsStep(mset, varied, {.iterations = 5});  // the cell loop
+    NnlsOptions nnls_opts;
+    nnls_opts.max_iters = 20;
+    NnlsInference(mset, 64.0, nnls_opts);
+  }
+  obs::SetTraceEnabled(false);
+  EXPECT_EQ(mw_seconds.Count() - mw0, 2u);
+  EXPECT_EQ(mw_iters.Value() - it0, 12u);
+  EXPECT_EQ(nnls_seconds.Count() - nnls0, 1u);
+
+  const std::vector<obs::TraceEvent> events = trace.Events();
+  const obs::TraceEvent* mw = FindSpan(events, "solver.mw");
+  ASSERT_NE(mw, nullptr);
+  EXPECT_EQ(SpanAttr(*mw, "rows"), 2.0);
+  EXPECT_EQ(SpanAttr(*mw, "cols"), 32.0);
+  EXPECT_EQ(SpanAttr(*mw, "atoms"), 4.0);
+  EXPECT_EQ(SpanAttr(*mw, "iterations"), 7.0);
+  const obs::TraceEvent* nnls = FindSpan(events, "solver.nnls");
+  ASSERT_NE(nnls, nullptr);
+  EXPECT_EQ(SpanAttr(*nnls, "cols"), 32.0);
+  // The known total covers [20,31] too, as one more atom.
+  EXPECT_EQ(SpanAttr(*nnls, "atoms"), 4.0);
 }
 
 // ------------------------------------------------- bitwise invariance
