@@ -117,6 +117,7 @@ NnlsResult Nnls(const LinOp& a, const Vec& b, const NnlsOptions& opts,
   Vec grad(n), x_new(n), gx_new(n);
   std::size_t it = 0;
   std::size_t restarts = 0;
+  bool restarted = false;  // the previous pass was a monotone restart
   for (; it < opts.max_iters; ++it) {
     // grad = A^T (A y - b) = G y - A^T b.
     for (std::size_t j = 0; j < n; ++j) grad[j] = gyk[j] - atb[j];
@@ -132,13 +133,24 @@ NnlsResult Nnls(const LinOp& a, const Vec& b, const NnlsOptions& opts,
     // `continue` already routes through the for-loop's increment; bumping
     // `it` here too would double-count the pass (over-reported iteration
     // totals and a silently halved max_iters on restart-heavy problems).
+    // A restart right after a restart starts from the state the first
+    // one left (x, gx, yk = x, gyk = gx, t = 1, prev_obj), so every later
+    // pass would repeat it exactly: x is at its fixed point, stop.  This
+    // is where the objective's rounding floor stalls a solve whose true
+    // decrease has fallen below the cancellation in `obj`.
     if (obj > prev_obj) {
+      ++restarts;
+      if (restarted) {
+        ++it;
+        break;
+      }
       t = 1.0;
       yk = x;
       gyk = gx;
-      ++restarts;
+      restarted = true;
       continue;
     }
+    restarted = false;
     prev_obj = obj;
 
     const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));

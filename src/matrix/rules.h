@@ -1,26 +1,18 @@
-// The rewrite *rules* layer: local algebraic transforms over LinOp trees,
-// split out of the old monolithic rewrite pass (matrix/rewrite.h keeps the
-// mode toggle, caching and the public Rewrite()/MaybeRewrite() entry
-// points; matrix/search.h layers a cost-guided beam search on top).
+// The rewrite rules: local algebraic transforms over LinOp trees,
+// committed by one fixed-order bottom-up pass.  matrix/rewrite.h keeps
+// the on/off toggle, caching and the public Rewrite()/MaybeRewrite()
+// entry points.
 //
-// Two forms of the same rule set live here:
-//
-//  * Canonicalizer — the fixed-order bottom-up pass that *commits* each
-//    rule in place (identity elimination, scale/row-weight hoisting, the
-//    Kronecker mixed-product identity, guarded CSR fusion, stack
-//    flattening and run merging).  This is `EKTELO_REWRITE=rules`, and it
-//    is bitwise-identical to the pre-split rewrite pass: same rule order,
-//    same guards (now named in matrix/cost.h), same trees out.
-//
-//  * Rule — the candidate-generating form: Apply(node) *proposes*
-//    alternative trees instead of committing, leaving the choice to the
-//    cost model.  This is what lets the search decide data-dependent
-//    questions the fixed order cannot — e.g. whether Product(RangeSet, P)
-//    should stay composed (O(n+m) per apply) or materialize to a small
-//    CSR leaf (O(nnz)).
+// Canonicalizer commits each rule in place (identity elimination,
+// scale/row-weight hoisting, the Kronecker mixed-product identity,
+// guarded CSR fusion, stack flattening and run merging).  The order and
+// the sparse-fuse guards below are part of the bitwise-reproducibility
+// contract: changing either changes which trees `EKTELO_REWRITE=1`
+// emits, and with them the inference outputs the goldens pin.
 #ifndef EKTELO_MATRIX_RULES_H_
 #define EKTELO_MATRIX_RULES_H_
 
+#include <cstddef>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -32,7 +24,29 @@
 namespace ektelo {
 namespace rules {
 
-/// Downcast helper shared by the rules and search layers.
+/// Budget for eagerly multiplying two CSR leaves during rewriting: the
+/// update count of the row-wise product (CsrMatrix::MatmulUpdateBound)
+/// must stay within this, so canonicalization never stalls a solver
+/// thread on an enormous sparse matmul.
+inline constexpr std::size_t kSparseFuseMaxUpdates = std::size_t{1} << 24;
+
+/// No-denser-than-factors rule: a fused product leaf is kept only when
+/// nnz(AB) <= ratio * (nnz(A) + nnz(B)).  At 1.0 the per-apply cost can
+/// only improve — e.g. P P^T of a partition collapses to a diagonal.
+inline constexpr double kSparseFuseMaxDensityRatio = 1.0;
+
+/// The update-count budget of the sparse-fuse rule.
+inline bool SparseFuseWithinBudget(std::size_t update_bound) {
+  return update_bound <= kSparseFuseMaxUpdates;
+}
+
+/// The no-denser-than-factors guard of the sparse-fuse rule.
+inline bool SparseFuseKeepsDensity(std::size_t fused_nnz, std::size_t nnz_a,
+                                   std::size_t nnz_b) {
+  return double(fused_nnz) <=
+         kSparseFuseMaxDensityRatio * double(nnz_a + nnz_b);
+}
+
 template <typename T>
 std::shared_ptr<const T> OpAs(const LinOpPtr& p) {
   return std::dynamic_pointer_cast<const T>(p);
@@ -42,16 +56,14 @@ std::shared_ptr<const T> OpAs(const LinOpPtr& p) {
 /// Run() memoizes by node identity, so shared subtrees rewrite once, and
 /// returns the *original* pointer when nothing fires — preserving the
 /// per-instance sensitivity/hash caches of an already-canonical tree.
-///
-/// The canonical constructors are public: each re-applies the local rules
-/// for one node kind on already-rewritten children (never recursing into
-/// Run, so termination is by structural descent only).  The beam search
-/// builds its candidates through these same constructors, which is what
-/// keeps `search` a superset of `rules` rather than a divergent rewriter.
 class Canonicalizer {
  public:
   LinOpPtr Run(const LinOpPtr& op);
 
+ private:
+  // The canonical constructors: each re-applies the local rules for one
+  // node kind on already-rewritten children (never recursing into Run,
+  // so termination is by structural descent only).
   LinOpPtr Scaled(LinOpPtr child, double c);
   LinOpPtr RowWeighted(LinOpPtr child, Vec w);
   LinOpPtr Transposed(const LinOpPtr& child);
@@ -61,7 +73,6 @@ class Canonicalizer {
   LinOpPtr HStacked(std::vector<LinOpPtr> children);
   LinOpPtr Summed(std::vector<LinOpPtr> children);
 
- private:
   LinOpPtr Dispatch(const LinOpPtr& op);
   std::vector<LinOpPtr> RunAll(const std::vector<LinOpPtr>& cs);
 
@@ -85,24 +96,6 @@ class Canonicalizer {
 
 /// One full fixed-order pass over a tree (the body of ektelo::Rewrite).
 LinOpPtr Canonicalize(const LinOpPtr& op);
-
-/// A candidate-generating transform: given one node (whose children the
-/// search has already processed), propose zero or more alternative trees
-/// computing the same matrix.  Proposals are suggestions — the cost model
-/// ranks them and the beam keeps the cheapest few.  Implementations must
-/// be deterministic and must preserve the represented matrix exactly up
-/// to floating-point reassociation.
-class Rule {
- public:
-  virtual ~Rule() = default;
-  virtual const char* name() const = 0;
-  virtual std::vector<LinOpPtr> Apply(const LinOpPtr& node) const = 0;
-};
-
-/// The built-in rule registry, in a fixed deterministic order:
-/// scale-collapse, transpose-push, row-weight-fuse, kron-fuse,
-/// sparse-fuse, stack-merge, product-materialize, kron-materialize.
-const std::vector<const Rule*>& AllRules();
 
 }  // namespace rules
 }  // namespace ektelo

@@ -8,6 +8,7 @@
 #include "matrix/implicit_ops.h"
 #include "matrix/lsmr.h"
 #include "matrix/nnls.h"
+#include "matrix/range_ops.h"
 #include "util/rng.h"
 
 namespace ektelo {
@@ -215,6 +216,47 @@ TEST(NnlsTest, IterationCountMatchesGramAppliesUnderRestarts) {
   EXPECT_LE(res.iterations, opts.max_iters);
   EXPECT_GT(res.restarts, 0u);
   EXPECT_LE(res.restarts, res.iterations);
+}
+
+TEST(NnlsTest, StopsAtTheRestartFixedPoint) {
+  // Six ranges over n = 200 cells, measured at three noise scales, plus
+  // the known total: the cell-space FISTA reaches its objective's
+  // rounding floor long before the tolerance, restarts, and restarts
+  // again from the state the first restart left.  From there every pass
+  // repeats exactly, so the solver stops instead of spending the rest
+  // of max_iters on identical restarts; x is what it would have
+  // returned at any cap.
+  const std::size_t n = 200;
+  Rng rng(2024);
+  std::vector<Interval> ranges;
+  for (int q = 0; q < 6; ++q) {
+    const std::size_t lo = std::size_t(rng.UniformInt(0, int64_t(n) - 1));
+    const std::size_t hi =
+        lo + std::size_t(rng.UniformInt(0, int64_t(n - lo) - 1));
+    ranges.push_back({lo, hi});
+  }
+  Vec x_true(n);
+  for (auto& v : x_true) v = 50.0 * rng.Uniform();
+  std::vector<LinOpPtr> rows;
+  for (double scale : {1.0, 4.0, 16.0})
+    rows.push_back(MakeScaled(MakeRangeSetOp(ranges, n), 1.0 / scale));
+  rows.push_back(MakeTotalOp(n));
+  LinOpPtr a = MakeVStack(std::move(rows));
+  Vec b = a->Apply(x_true);
+  for (auto& v : b) v += rng.Normal();
+  NnlsOptions opts;
+  opts.tol = 1e-13;
+  opts.max_iters = 2000;
+  const NnlsResult short_run = Nnls(*a, b, opts);
+  opts.max_iters = 20000;
+  const NnlsResult long_run = Nnls(*a, b, opts);
+  EXPECT_LT(short_run.iterations, 2000u);
+  EXPECT_LT(long_run.iterations, 2000u);
+  EXPECT_EQ(short_run.iterations, long_run.iterations);
+  EXPECT_GE(short_run.restarts, 2u);
+  ASSERT_EQ(short_run.x.size(), long_run.x.size());
+  for (std::size_t j = 0; j < n; ++j)
+    EXPECT_TRUE(BitwiseEq(short_run.x[j], long_run.x[j])) << j;
 }
 
 TEST(LsmrTest, IterationCountScalesGently) {

@@ -6,6 +6,11 @@
 // open/close cycles, as a serving deployment would see them.  The warm
 // run must actually hit the disk tier.
 //
+// An upgrade case opens a store holding only the canonical-tree records
+// (artifact kind 9) that the retired rewrite search used to persist:
+// the store must reopen read-write, nothing may serve those records, and
+// every plan's reply must stay bitwise equal to the memory-only run.
+//
 // Also covers the Gram-memoization satellite: CG/NNLS derive their Gram
 // (and NNLS its spectral-norm estimate) through the OperatorCache, so
 // repeated solves of structurally identical stacks skip the per-solve
@@ -20,10 +25,14 @@
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "matrix/cg.h"
+#include "matrix/combinators.h"
+#include "matrix/implicit_ops.h"
 #include "matrix/nnls.h"
 #include "matrix/rewrite.h"
 #include "plans/registry.h"
 #include "store/artifact_store.h"
+#include "store/serialize.h"
+#include "store/tree_codec.h"
 #include "workload/workloads.h"
 
 namespace ektelo {
@@ -56,30 +65,46 @@ struct RunResult {
   std::vector<std::tuple<std::string, double, double>> transcript;
 };
 
+struct PlanEnv {
+  Vec hist;
+  std::vector<std::size_t> dims;
+  std::vector<RangeQuery> ranges;
+  LinOpPtr w;
+};
+
+/// The deterministic input every run of a plan over `domain` sees.
+PlanEnv MakeEnv(DomainKind domain) {
+  PlanEnv env;
+  Rng rng(31);
+  switch (domain) {
+    case DomainKind::k1D:
+      env.dims = {64};
+      env.hist = MakeHistogram1D(Shape1D::kGaussianMix, 64, 2000.0, &rng);
+      break;
+    case DomainKind::k2D:
+      env.dims = {8, 8};
+      env.hist = MakeHistogram2D(8, 8, 2000.0, &rng);
+      break;
+    case DomainKind::kMultiDim:
+      env.dims = {16, 2, 2};
+      env.hist = MakeHistogram1D(Shape1D::kStep, 64, 2000.0, &rng);
+      break;
+  }
+  const std::size_t n = env.hist.size();
+  env.ranges = RandomRanges(20, n, 16, &rng);
+  env.w = RangeQueryOp(env.ranges, n);
+  return env;
+}
+
 /// One deterministic end-to-end execution (same environment every call,
 /// mirroring rewrite_equivalence_test).
 RunResult RunPlan(const Plan& plan) {
   const double eps = 0.5;
-  Rng rng(31);
-  Vec hist;
-  std::vector<std::size_t> dims;
-  switch (plan.domain()) {
-    case DomainKind::k1D:
-      dims = {64};
-      hist = MakeHistogram1D(Shape1D::kGaussianMix, 64, 2000.0, &rng);
-      break;
-    case DomainKind::k2D:
-      dims = {8, 8};
-      hist = MakeHistogram2D(8, 8, 2000.0, &rng);
-      break;
-    case DomainKind::kMultiDim:
-      dims = {16, 2, 2};
-      hist = MakeHistogram1D(Shape1D::kStep, 64, 2000.0, &rng);
-      break;
-  }
-  const std::size_t n = hist.size();
-  auto ranges = RandomRanges(20, n, 16, &rng);
-  auto w = RangeQueryOp(ranges, n);
+  PlanEnv env = MakeEnv(plan.domain());
+  const Vec& hist = env.hist;
+  const std::vector<std::size_t>& dims = env.dims;
+  const auto& ranges = env.ranges;
+  const LinOpPtr& w = env.w;
 
   ProtectedKernel kernel(TableFromHistogram(hist, "v"), eps, 515151);
   ProtectedTable root = ProtectedTable::Root(&kernel);
@@ -163,6 +188,90 @@ TEST(WarmStartTest, EveryPlanIsBitwiseIdenticalColdAndWarmAcrossTwoCycles) {
   const auto after_warm = OperatorCache::Global().stats();
   EXPECT_GT(after_warm.disk_hits, before_warm.disk_hits)
       << "warm cycle never hit the disk tier";
+  DetachTier();
+  OperatorCache::Global().Clear();
+  fs::remove_all(dir);
+}
+
+TEST(WarmStartTest, RetiredKind9RecordsAreNeverServed) {
+  const std::string dir = FreshDir("kind9");
+  const std::vector<const Plan*> catalog = PlanRegistry::Global().Catalog();
+  ASSERT_FALSE(catalog.empty());
+
+  DetachTier();
+  OperatorCache::Global().Clear();
+  std::vector<RunResult> baseline;
+  baseline.reserve(catalog.size());
+  for (const Plan* plan : catalog) baseline.push_back(RunPlan(*plan));
+
+  // Write kind-9 records the way the search mode did: {rows, cols,
+  // sub-kind 3} followed by the encoded canonical tree, keyed by the
+  // structural hash of operators the plans really use.
+  constexpr uint32_t kRetiredCanonTreeKind = 9;
+  store::DiskStoreOptions opts;
+  opts.hash_version = kHashVersion;
+  auto writer = store::DiskArtifactStore::Open(dir, opts);
+  ASSERT_TRUE(writer);
+  std::vector<store::ArtifactKey> keys;
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<LinOpPtr> ops;
+  for (DomainKind d :
+       {DomainKind::k1D, DomainKind::k2D, DomainKind::kMultiDim}) {
+    LinOpPtr w = MakeEnv(d).w;
+    ops.push_back(w);
+    ops.push_back(MakeVStack({MakeTotalOp(w->cols()), w}));
+  }
+  ops.push_back(MakeIdentityOp(64));
+  for (const LinOpPtr& op : ops) {
+    store::ByteWriter bw;
+    bw.U64(op->rows());
+    bw.U64(op->cols());
+    bw.U8(3);
+    ASSERT_TRUE(store::EncodeLinOpTree(*Rewrite(op), &bw));
+    const store::ArtifactKey key{op->StructuralHash(), kRetiredCanonTreeKind};
+    ASSERT_TRUE(writer->Put(key, bw.bytes()));
+    keys.push_back(key);
+    payloads.push_back(bw.bytes());
+  }
+  writer->Flush();
+
+  // While `writer` holds the lock the cache's tier attaches read-only, so
+  // the run's own spills never land: the store holds nothing but kind-9
+  // records, and any disk hit would have been one of them.
+  AttachTier(dir);
+  OperatorCache::Global().Clear();
+  ASSERT_NE(OperatorCache::Global().disk_tier(), nullptr);
+  ASSERT_TRUE(OperatorCache::Global().disk_tier()->stats().read_only);
+  const std::size_t hits_before = OperatorCache::Global().stats().disk_hits;
+  for (std::size_t i = 0; i < catalog.size(); ++i)
+    ExpectBitwiseEqual(baseline[i], RunPlan(*catalog[i]),
+                       ("read-only: " + catalog[i]->name()).c_str());
+  EXPECT_EQ(OperatorCache::Global().stats().disk_hits, hits_before);
+  DetachTier();
+  writer.reset();
+
+  // Reopened by the cache alone, the store is read-write again and keeps
+  // serving as a normal tier.
+  AttachTier(dir);
+  OperatorCache::Global().Clear();
+  store::DiskArtifactStore* tier = OperatorCache::Global().disk_tier();
+  ASSERT_NE(tier, nullptr);
+  EXPECT_FALSE(tier->stats().read_only);
+  EXPECT_EQ(tier->stats().entries, keys.size());
+  const std::size_t writes_before = OperatorCache::Global().stats().disk_writes;
+  for (std::size_t i = 0; i < catalog.size(); ++i)
+    ExpectBitwiseEqual(baseline[i], RunPlan(*catalog[i]),
+                       ("read-write: " + catalog[i]->name()).c_str());
+  OperatorCache::Global().FlushDiskTier();
+  EXPECT_GT(OperatorCache::Global().stats().disk_writes, writes_before);
+  // Nothing read (and rejected) the kind-9 records either: a typed
+  // decoder that rejects a record drops it, and the recompute re-stores
+  // its own payload under the key.
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    std::vector<uint8_t> payload;
+    EXPECT_TRUE(tier->Get(keys[k], &payload));
+    EXPECT_EQ(payload, payloads[k]);
+  }
   DetachTier();
   OperatorCache::Global().Clear();
   fs::remove_all(dir);
